@@ -213,12 +213,4 @@ def class_sum(group: Group, cls) -> AlgebraElement:
 
 def character_element(irrep) -> AlgebraElement:
     """Sum over the group of trace(matrix(g)) * g; always central."""
-    group = irrep.group
-    coeffs = []
-    for g in range(group.order):
-        mat = irrep.matrices[g]
-        tr = mat[0][0]
-        for i in range(1, irrep.degree):
-            tr = tr + mat[i][i]
-        coeffs.append(tr)
-    return AlgebraElement(group, coeffs)
+    return AlgebraElement(irrep.group, [irrep.character(g) for g in range(irrep.group.order)])

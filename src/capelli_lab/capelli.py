@@ -18,6 +18,11 @@ into the matrix before the double sum runs.  The positioned reading
 reproduces the Capelli element for every shift permutation with shift
 constant alpha; the matrix reading does so only in degree 1.  Both
 outcomes are measured and reported rather than assumed.
+
+The matrices themselves (the shifted z-matrix, the conjugate P E P^-1 and
+the positioned double determinant) come from the ring-generic builders in
+ncdet, applied to E with the group algebra's identity; the Weyl side
+applies the same builders to Pi.
 """
 
 from __future__ import annotations
@@ -33,12 +38,14 @@ from .groups import conjugacy_classes
 from .irreps import E_matrix, Irrep, IrrepSet
 from .ncdet import (
     ZPoly,
-    coldet,
+    add_diagonal,
+    capelli_zpoly,
+    conjugate,
     doubledet,
-    natural_shift,
+    minus_z,
     natural_sigma,
     natural_star,
-    positioned_doubledet,
+    positioned_shift_doubledet,
     rowdet,
 )
 from .reports import Report
@@ -86,30 +93,21 @@ def u_product(irrep: Irrep, count: int) -> ZPoly:
 # -- the Capelli element -------------------------------------------------------
 
 
+def _one(irrep: Irrep) -> AlgebraElement:
+    return AlgebraElement.identity(irrep.group, irrep.conductor)
+
+
 def shifted_matrix(irrep: Irrep, diag, z_shift=Fraction(0)) -> list[list[ZPoly]]:
     """E + alpha*diag(...) - (z + z_shift) I over z-polynomials with
     algebra-element coefficients."""
-    em = E_matrix(irrep)
-    group = irrep.group
-    conductor = irrep.conductor
-    one = AlgebraElement.identity(group, conductor)
-    m = irrep.degree
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                const = em[i][j] + (irrep.alpha * diag[i] - z_shift) * one
-                row.append(ZPoly([const, -one]))
-            else:
-                row.append(ZPoly([em[i][j]]))
-        out.append(row)
-    return out
+    one = _one(irrep)
+    shift = [irrep.alpha * d - z_shift for d in diag]
+    return minus_z(add_diagonal(E_matrix(irrep), shift, one), one)
 
 
 def capelli_element(irrep: Irrep) -> CapelliElement:
     """Column determinant of E + alpha*(m-1,...,0) - zI."""
-    return CapelliElement(irrep.label, coldet(shifted_matrix(irrep, natural_shift(irrep.degree))))
+    return CapelliElement(irrep.label, capelli_zpoly(E_matrix(irrep), irrep.alpha, _one(irrep)))
 
 
 def capelli_via_subsets(irrep: Irrep) -> CapelliElement:
@@ -119,8 +117,7 @@ def capelli_via_subsets(irrep: Irrep) -> CapelliElement:
     """
     m = irrep.degree
     em = E_matrix(irrep)
-    group = irrep.group
-    one = AlgebraElement.identity(group, irrep.conductor)
+    one = _one(irrep)
     alpha = irrep.alpha
     total = u_product(irrep, m).map_coeffs(lambda c: c * one)
     for mask in range(1, 1 << m):
@@ -139,7 +136,7 @@ def verify_closed_form(irrep: Irrep) -> Report:
     """The determinant must equal u^(m) + character * u^(m-1) exactly,
     and the subset expansion must reproduce it term for term."""
     report = Report()
-    one = AlgebraElement.identity(irrep.group, irrep.conductor)
+    one = _one(irrep)
     direct = capelli_element(irrep).poly
     chi = character_element(irrep)
     closed = u_product(irrep, irrep.degree).map_coeffs(lambda c: c * one) + u_product(
@@ -193,33 +190,8 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
 
 def conjugated_capelli(irrep: Irrep, p_matrix) -> ZPoly:
     """Column determinant of P E P^-1 + alpha*shift - zI."""
-    p_inv = linalg.mat_inverse(p_matrix)
-    em = E_matrix(irrep)
-    group = irrep.group
-    m = irrep.degree
-    conductor = irrep.conductor
-    conj = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = AlgebraElement.zero(group, conductor)
-            for k in range(m):
-                for l in range(m):
-                    s = p_matrix[i][k] * p_inv[l][j]
-                    if s:
-                        acc = acc + em[k][l] * s
-            row.append(acc)
-        conj.append(row)
-    one = AlgebraElement.identity(group, conductor)
-    shift = natural_shift(m)
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            const = conj[i][j] + (irrep.alpha * shift[i] * one if i == j else AlgebraElement.zero(group, conductor))
-            row.append(ZPoly([const, -one]) if i == j else ZPoly([const]))
-        entries.append(row)
-    return coldet(entries)
+    conj = conjugate(E_matrix(irrep), p_matrix, linalg.mat_inverse(p_matrix))
+    return capelli_zpoly(conj, irrep.alpha, _one(irrep))
 
 
 def verify_conjugation_invariance(irrep: Irrep, p_matrix=None) -> Report:
@@ -296,16 +268,8 @@ def positioned_double_det(irrep: Irrep, sigma, shift_constant) -> ZPoly:
     """Symmetrized determinant of E with the shift sequence
     (sigma(m), ..., sigma(1)) scaled by alpha attached to the factor
     positions, each diagonal hit also picking up -(z + c)."""
-    em = E_matrix(irrep)
-    m = irrep.degree
-    one = AlgebraElement.identity(irrep.group, irrep.conductor)
-    pattern = natural_sigma(m, sigma)
-    matrix = [[ZPoly([e]) for e in row] for row in em]
-    diagonal_terms = [
-        ZPoly([(irrep.alpha * pattern[i] - Fraction(shift_constant)) * one, -one])
-        for i in range(m)
-    ]
-    return positioned_doubledet(matrix, diagonal_terms)
+    shift = [irrep.alpha * d for d in natural_sigma(irrep.degree, sigma)]
+    return positioned_shift_doubledet(E_matrix(irrep), shift, Fraction(shift_constant), _one(irrep))
 
 
 def matrix_attached_double_det(irrep: Irrep, sigma, shift_constant) -> ZPoly:

@@ -30,7 +30,7 @@ from .capelli import (
 from .catalog import catalog_group, catalog_irreps, catalog_names, catalog_summary
 from .groups import DEFAULT_ORDER_LIMIT, Group, load_group
 from .irreps import IrrepSet, load_irrep, validate, verify_E_basis, verify_schur_products
-from .reports import Report
+from .reports import CheckResult, Report
 from .weyl import (
     GENERIC_SIZE_LIMIT,
     REP_DEGREE_LIMIT,
@@ -64,32 +64,11 @@ class RunConfig:
 # -- check registry -------------------------------------------------------------
 
 
-def _check_schur(irrep_set: IrrepSet) -> Report:
-    return verify_schur_products(irrep_set)
-
-
-def _check_e_basis(irrep_set: IrrepSet) -> Report:
-    return verify_E_basis(irrep_set)
-
-
-def _check_closed_form(irrep_set: IrrepSet) -> Report:
+def _per_irrep(irrep_set: IrrepSet, verify, *args) -> Report:
+    """One report of verify(irrep, *args) over every irrep of the set."""
     report = Report()
     for irrep in irrep_set.irreps:
-        report.extend(verify_closed_form(irrep))
-    return report
-
-
-def _check_central(irrep_set: IrrepSet) -> Report:
-    report = Report()
-    for irrep in irrep_set.irreps:
-        report.extend(verify_centrality(irrep, irrep_set))
-    return report
-
-
-def _check_conj_inv(irrep_set: IrrepSet) -> Report:
-    report = Report()
-    for irrep in irrep_set.irreps:
-        report.extend(verify_conjugation_invariance(irrep))
+        report.extend(verify(irrep, *args))
     return report
 
 
@@ -103,21 +82,21 @@ def _check_basis_char(irrep_set: IrrepSet) -> Report:
     return report
 
 
-def _check_det_variants(irrep_set: IrrepSet) -> Report:
-    report = Report()
+def _within_rep_limit(report: Report, check: str, irrep_set: IrrepSet):
+    """The irreps the Weyl representation checks can take; each one above
+    REP_DEGREE_LIMIT is recorded in `report` as skipped instead."""
     for irrep in irrep_set.irreps:
-        report.extend(verify_det_variants(irrep))
-    return report
+        if irrep.degree > REP_DEGREE_LIMIT:
+            report.results.append(
+                _skip(check, irrep.label, f"degree {irrep.degree} > {REP_DEGREE_LIMIT}")
+            )
+        else:
+            yield irrep
 
 
 def _check_weyl_relations(irrep_set: IrrepSet) -> Report:
     report = Report()
-    for irrep in irrep_set.irreps:
-        if irrep.degree > REP_DEGREE_LIMIT:
-            report.results.append(
-                _skip("weyl-relations", irrep.label, f"degree {irrep.degree} > {REP_DEGREE_LIMIT}")
-            )
-            continue
+    for irrep in _within_rep_limit(report, "weyl-relations", irrep_set):
         report.extend(verify_rep_relations(irrep))
         _, _, _, pi = build_rep(irrep)
         report.extend(verify_pi_relations(pi, irrep.alpha, irrep.label))
@@ -130,12 +109,7 @@ def _check_weyl_capelli(irrep_set: IrrepSet) -> Report:
         for alpha in GENERIC_ALPHAS:
             _, xm, dm, pi = build_generic(m, alpha)
             report.extend(verify_capelli(xm, dm, pi, alpha, f"generic m={m} alpha={alpha}"))
-    for irrep in irrep_set.irreps:
-        if irrep.degree > REP_DEGREE_LIMIT:
-            report.results.append(
-                _skip("capelli-identity", irrep.label, f"degree {irrep.degree} > {REP_DEGREE_LIMIT}")
-            )
-            continue
+    for irrep in _within_rep_limit(report, "capelli-identity", irrep_set):
         report.extend(verify_capelli_rep(irrep))
     return report
 
@@ -157,20 +131,18 @@ def _check_det_equalities(irrep_set: IrrepSet) -> Report:
 
 
 def _skip(check, irrep, detail):
-    from .reports import CheckResult
-
     return CheckResult(check, irrep, "skipped", detail)
 
 
 CHECKS = {
-    "schur": _check_schur,
-    "e-basis": _check_e_basis,
-    "closed-form": _check_closed_form,
-    "central": _check_central,
-    "conj-inv": _check_conj_inv,
+    "schur": verify_schur_products,
+    "e-basis": verify_E_basis,
+    "closed-form": lambda irrep_set: _per_irrep(irrep_set, verify_closed_form),
+    "central": lambda irrep_set: _per_irrep(irrep_set, verify_centrality, irrep_set),
+    "conj-inv": lambda irrep_set: _per_irrep(irrep_set, verify_conjugation_invariance),
     "basis-capelli": _check_basis_capelli,
     "basis-char": _check_basis_char,
-    "det-variants": _check_det_variants,
+    "det-variants": lambda irrep_set: _per_irrep(irrep_set, verify_det_variants),
     "weyl-relations": _check_weyl_relations,
     "weyl-capelli": _check_weyl_capelli,
     "weyl-central": _check_weyl_central,
@@ -285,8 +257,6 @@ def cmd_verify(args) -> int:
             else:
                 entries = CHECKS[name](irrep_set).results
         except Exception as exc:  # a crash inside one check is a failure, not an abort
-            from .reports import CheckResult
-
             entries = [CheckResult(name, "*", "fail", f"crashed: {exc!r}")]
         elapsed_ms = int((time.monotonic() - started) * 1000)
         for entry in entries:

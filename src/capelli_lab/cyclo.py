@@ -25,16 +25,6 @@ class NotDivisible(ValueError):
     """Promotion target is not a multiple of the current conductor."""
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _poly_divmod_monic(num, den):
     # den must be monic; exact division over the integers.
     num = list(num)

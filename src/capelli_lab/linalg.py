@@ -41,12 +41,9 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rank(matrix) -> int:
-    """Rank of a matrix of Cyclo entries (all sharing one conductor)."""
-    if not matrix:
-        return 0
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
+def _gauss_jordan(rows, ncols) -> int:
+    """Reduce `rows` in place to reduced row echelon form over the first
+    `ncols` columns; returns the number of pivots."""
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -63,6 +60,13 @@ def rank(matrix) -> int:
         if r == len(rows):
             break
     return r
+
+
+def rank(matrix) -> int:
+    """Rank of a matrix of Cyclo entries (all sharing one conductor)."""
+    if not matrix:
+        return 0
+    return _gauss_jordan([list(r) for r in matrix], len(matrix[0]))
 
 
 def p_family(m: int, conductor: int) -> list[list[list[Cyclo]]]:
@@ -87,16 +91,8 @@ def mat_inverse(matrix) -> list[list[Cyclo]]:
     """Exact inverse; raises SingularMatrix when no inverse exists."""
     m = len(matrix)
     conductor = matrix[0][0].conductor
-    aug = [list(row) + identity_matrix(m, conductor)[i] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next((i for i in range(col, m) if aug[i][col]), None)
-        if pivot is None:
-            raise SingularMatrix("matrix has no inverse")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * v for v in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
+    eye = identity_matrix(m, conductor)
+    aug = [list(row) + eye[i] for i, row in enumerate(matrix)]
+    if _gauss_jordan(aug, m) < m:
+        raise SingularMatrix("matrix has no inverse")
     return [row[m:] for row in aug]

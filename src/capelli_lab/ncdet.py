@@ -5,6 +5,12 @@ multiply factors in exactly the defining order; no step assumes the
 entries commute.  Entries may be anything ring-like: they must support
 +, -, *, unary -, bool (nonzero test), ==, and scalar multiplication by
 ints and Fractions from the left.
+
+The shifted, conjugated and double-determinant builders are written once
+here for any such ring, and serve the group algebra (capelli) and the
+Weyl algebra (weyl) alike: the Capelli element of an irrep and the
+operator Capelli determinant are the same `capelli_zpoly` of different
+matrices.
 """
 
 from __future__ import annotations
@@ -62,17 +68,33 @@ def coldet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
 
 
 def rowdet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
-    """Row determinant: sum of sgn(s) * a[1][s(1)] * a[2][s(2)] * ..."""
+    """Row determinant: sum of sgn(s) * a[1][s(1)] * a[2][s(2)] * ...,
+    which is the column determinant of the transpose."""
     m = _check_size(matrix, limit)
+    return coldet([[row[j] for row in matrix] for j in range(m)], limit)
+
+
+def _double_sum(matrix, diagonal_terms, limit):
+    # (1/m!) * sum over (s, t) of sgn(st) * prod over i of a[s(i)][t(i)],
+    # factors in index order; with diagonal_terms, factor i of a diagonal
+    # entry also picks up diagonal_terms[i]
+    m = _check_size(matrix, limit)
+    if diagonal_terms is not None and len(diagonal_terms) != m:
+        raise ValueError("need one diagonal term per factor position")
     total = None
-    for perm in permutations(range(m)):
-        term = matrix[0][perm[0]]
-        for row in range(1, m):
-            term = term * matrix[row][perm[row]]
-        if perm_sign(perm) < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    for sigma in permutations(range(m)):
+        ssign = perm_sign(sigma)
+        for tau in permutations(range(m)):
+            term = None
+            for i in range(m):
+                entry = matrix[sigma[i]][tau[i]]
+                if diagonal_terms is not None and sigma[i] == tau[i]:
+                    entry = entry + diagonal_terms[i]
+                term = entry if term is None else term * entry
+            if ssign * perm_sign(tau) < 0:
+                term = -term
+            total = term if total is None else total + term
+    return Fraction(1, math.factorial(m)) * total
 
 
 def doubledet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
@@ -81,18 +103,7 @@ def doubledet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
 
     Requires the entries to admit exact division by m! (Fraction action).
     """
-    m = _check_size(matrix, limit)
-    total = None
-    for sigma in permutations(range(m)):
-        ssign = perm_sign(sigma)
-        for tau in permutations(range(m)):
-            term = matrix[sigma[0]][tau[0]]
-            for i in range(1, m):
-                term = term * matrix[sigma[i]][tau[i]]
-            if ssign * perm_sign(tau) < 0:
-                term = -term
-            total = term if total is None else total + term
-    return Fraction(1, math.factorial(m)) * total
+    return _double_sum(matrix, None, limit)
 
 
 def positioned_doubledet(matrix, diagonal_terms, limit: int = DEFAULT_SIZE_LIMIT):
@@ -106,23 +117,7 @@ def positioned_doubledet(matrix, diagonal_terms, limit: int = DEFAULT_SIZE_LIMIT
     entry wanders through every factor position, so the two readings
     genuinely differ; this is the per-position one.
     """
-    m = _check_size(matrix, limit)
-    if len(diagonal_terms) != m:
-        raise ValueError("need one diagonal term per factor position")
-    total = None
-    for sigma in permutations(range(m)):
-        ssign = perm_sign(sigma)
-        for tau in permutations(range(m)):
-            term = None
-            for i in range(m):
-                entry = matrix[sigma[i]][tau[i]]
-                if sigma[i] == tau[i]:
-                    entry = entry + diagonal_terms[i]
-                term = entry if term is None else term * entry
-            if ssign * perm_sign(tau) < 0:
-                term = -term
-            total = term if total is None else total + term
-    return Fraction(1, math.factorial(m)) * total
+    return _double_sum(matrix, diagonal_terms, limit)
 
 
 # -- diagonal shift patterns ------------------------------------------------
@@ -270,3 +265,59 @@ def _fill(slots):
     witness = next(s for s in slots if s is not None)
     zero = witness - witness
     return [zero if s is None else s for s in slots]
+
+
+# -- shifted matrices over any ring -------------------------------------------
+#
+# `one` is the ring's identity; a scalar s acts as s * one and entry * s.
+
+
+def add_diagonal(matrix, diag, one):
+    """M + diag(d_1 * one, ..., d_m * one); a zero shift leaves its entry as is."""
+    return [
+        [entry + diag[i] * one if i == j and diag[i] else entry for j, entry in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+def minus_z(matrix, one):
+    """M - zI with z-polynomial entries."""
+    minus_one = -one
+    return [
+        [ZPoly([entry, minus_one]) if i == j else ZPoly([entry]) for j, entry in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+def capelli_zpoly(matrix, alpha, one):
+    """Column determinant of M + alpha * (m-1, ..., 0) - zI: the Capelli
+    determinant, as a z-polynomial with coefficients in M's ring."""
+    shift = [alpha * d for d in natural_shift(len(matrix))]
+    return coldet(minus_z(add_diagonal(matrix, shift, one), one))
+
+
+def conjugate(matrix, p, p_inv):
+    """P * M * P^-1 for a scalar matrix P with inverse p_inv."""
+    m = len(matrix)
+    zero = matrix[0][0] - matrix[0][0]
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            acc = zero
+            for k in range(m):
+                for l in range(m):
+                    s = p[i][k] * p_inv[l][j]
+                    if s:
+                        acc = acc + matrix[k][l] * s
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def positioned_shift_doubledet(matrix, diag, c, one):
+    """positioned_doubledet of M over z-polynomials, factor position i of
+    each diagonal entry picking up (d_i - c) * one - z."""
+    lifted = [[ZPoly([entry]) for entry in row] for row in matrix]
+    minus_one = -one
+    return positioned_doubledet(lifted, [ZPoly([(d - c) * one, minus_one]) for d in diag])

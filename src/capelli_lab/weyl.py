@@ -13,6 +13,10 @@ generic setting, any alpha), and one variable per group element (the
 representation setting, base alpha 1, where the matrix combinations
 X, D built from a unitary irrep satisfy the grid relations with
 alpha = group order / degree).
+
+The Capelli determinants of Pi (shifted, conjugated, row, column and
+double) are built by the ring-generic functions in ncdet, the same ones
+the group-algebra side applies to its E matrix.
 """
 
 from __future__ import annotations
@@ -22,18 +26,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from . import linalg
+from . import linalg, ncdet
 from .cyclo import Cyclo
 from .irreps import Irrep
 from .ncdet import (
     SizeLimit,
     ZPoly,
+    add_diagonal,
     coldet,
+    conjugate,
     doubledet,
+    minus_z,
     natural_shift,
     natural_sigma,
     natural_star,
-    positioned_doubledet,
+    positioned_shift_doubledet,
     rowdet,
 )
 from .reports import Report
@@ -393,45 +400,12 @@ def verify_pi_relations(pi, alpha, label="generic") -> Report:
 # -- Capelli identity and element ------------------------------------------------------
 
 
-def _shift_matrix(mat, diag, alpha, one):
-    m = len(mat)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            entry = mat[i][j]
-            if i == j and diag[i]:
-                entry = entry + one.scale(Fraction(alpha) * diag[i])
-            row.append(entry)
-        out.append(row)
-    return out
-
-
-def _z_matrix(mat, diag, alpha, one, z_shift=Fraction(0)):
-    m = len(mat)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            const = mat[i][j]
-            if i == j:
-                s = Fraction(alpha) * diag[i] - z_shift
-                if s:
-                    const = const + one.scale(s)
-                row.append(ZPoly([const, -one]))
-            else:
-                row.append(ZPoly([const]))
-        out.append(row)
-    return out
-
-
 def verify_capelli(xm, dm, pi, alpha, label="generic") -> Report:
     """coldet(Pi + alpha*(m-1,...,0)) = coldet(X) * coldet(D)."""
     report = Report()
     ctx = pi[0][0].context
     m = len(pi)
-    one = WeylOp.one(ctx)
-    lhs = coldet(_shift_matrix(pi, natural_shift(m), alpha, one))
+    lhs = coldet(add_diagonal(pi, [Fraction(alpha) * d for d in natural_shift(m)], WeylOp.one(ctx)))
     rhs = coldet(xm) * coldet(dm)
     report.add("capelli-identity", label, lhs == rhs)
     return report
@@ -448,10 +422,7 @@ def verify_capelli_rep(irrep: Irrep) -> Report:
 
 def capelli_zpoly(pi, alpha) -> ZPoly:
     """The characteristic-style column determinant as a z-polynomial."""
-    ctx = pi[0][0].context
-    m = len(pi)
-    one = WeylOp.one(ctx)
-    return coldet(_z_matrix(pi, natural_shift(m), alpha, one))
+    return ncdet.capelli_zpoly(pi, Fraction(alpha), WeylOp.one(pi[0][0].context))
 
 
 def verify_capelli_properties(pi, alpha, label="generic") -> Report:
@@ -476,41 +447,13 @@ def verify_capelli_properties(pi, alpha, label="generic") -> Report:
             break
     report.add("capelli-central", label, ok, witness)
 
-    one = WeylOp.one(ctx)
     for idx, p in enumerate(linalg.p_family(m, ctx.conductor)):
-        p_inv = linalg.mat_inverse(p)
-        conj = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = WeylOp.zero(ctx)
-                for k in range(m):
-                    for l in range(m):
-                        s = p[i][k] * p_inv[l][j]
-                        if s:
-                            acc = acc + pi[k][l].scale(s)
-                row.append(acc)
-            conj.append(row)
-        got = coldet(_z_matrix(conj, natural_shift(m), alpha, one))
+        got = capelli_zpoly(conjugate(pi, p, linalg.mat_inverse(p)), alpha)
         report.add("capelli-conjugation", f"{label}#P{idx}", got == cz)
     return report
 
 
 # -- three determinants --------------------------------------------------------------
-
-
-def positioned_double_det_weyl(mat, alpha, one, sigma, shift_constant) -> ZPoly:
-    """Symmetrized determinant with the shift sequence (sigma(m), ...,
-    sigma(1)) scaled by alpha attached to factor positions; every diagonal
-    hit also picks up -(z + c)."""
-    m = len(mat)
-    pattern = natural_sigma(m, sigma)
-    matrix = [[ZPoly([entry]) for entry in row] for row in mat]
-    diagonal_terms = [
-        ZPoly([one.scale(Fraction(alpha) * pattern[i] - Fraction(shift_constant)), -one])
-        for i in range(m)
-    ]
-    return positioned_doubledet(matrix, diagonal_terms)
 
 
 def verify_det_equalities(m: int) -> Report:
@@ -532,15 +475,16 @@ def verify_det_equalities(m: int) -> Report:
     ctx, _, _, pi = build_generic(m, alpha)
     one = WeylOp.one(ctx)
 
-    cd = coldet(_z_matrix(pi, natural_shift(m), alpha, one))
-    rd = rowdet(_z_matrix(pi, natural_star(m), alpha, one))
+    cd = capelli_zpoly(pi, alpha)
+    rd = rowdet(minus_z(add_diagonal(pi, [alpha * d for d in natural_star(m)], one), one))
     report.add("coldet-eq-rowdet", f"m={m}", cd == rd)
 
     for sigma in permutations(range(1, m + 1)):
-        dd = positioned_double_det_weyl(pi, alpha, one, sigma, Fraction(1))
+        shift = [alpha * d for d in natural_sigma(m, sigma)]
+        dd = positioned_shift_doubledet(pi, shift, Fraction(1), one)
         report.add("doubledet-positioned", f"m={m} sigma={sigma}", dd == cd,
                    "" if dd == cd else f"difference {dd - cd}")
-        naive = doubledet(_z_matrix(pi, natural_sigma(m, sigma), alpha, one, Fraction(1)))
+        naive = doubledet(minus_z(add_diagonal(pi, [d - 1 for d in shift], one), one))
         report.measure(
             "doubledet-matrix", f"m={m} sigma={sigma}",
             "matches coldet" if naive == cd else f"differs by {naive - cd}",

@@ -7,11 +7,14 @@ budgets are generous ceilings, not performance targets.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import capelli_lab
 from capelli_lab.capelli import (
     capelli_element,
     capelli_via_subsets,
@@ -178,12 +181,16 @@ def test_criterion_7_conjugation_invariance():
 def test_criterion_8_cli_end_to_end(tmp_path):
     started = time.monotonic()
     out_path = tmp_path / "report.json"
+    # the subprocess imports the same package as this test, installed or not
+    src = str(Path(capelli_lab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "capelli_lab.cli", "verify", "--group", "S3",
          "--checks", "all", "--format", "json", "--out", str(out_path)],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out_path.read_text())

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from capelli_lab.ncdet import (
     SizeLimit,
     ZPoly,
+    capelli_zpoly,
     coldet,
+    conjugate,
     doubledet,
     natural_shift,
     natural_sigma,
     natural_star,
     perm_sign,
+    positioned_doubledet,
     rowdet,
 )
 from capelli_lab.weyl import WeylContext, WeylOp
@@ -72,6 +75,39 @@ def test_weyl_matrix_exhibits_order_sensitivity():
 def test_doubledet_1x1():
     (a,) = words("a")
     assert doubledet([[a]]) == a
+
+
+def test_positioned_doubledet_with_zero_diagonal_terms_is_doubledet():
+    syms = [[FreeWord.symbol(f"a{i}{j}") for j in range(3)] for i in range(3)]
+    assert positioned_doubledet(syms, [FreeWord()] * 3) == doubledet(syms)
+
+
+# -- ring-generic builders ---------------------------------------------------------
+
+F = Fraction
+
+
+@pytest.mark.parametrize("p, p_inv, expected", [
+    # transvection: row 2 added to row 1, then column 1 subtracted from column 2
+    ([[F(1), F(1)], [F(0), F(1)]], [[F(1), F(-1)], [F(0), F(1)]],
+     lambda a, b, c, d: [[a + c, b + d - a - c], [c, d - c]]),
+    # swap: rows and columns exchanged
+    ([[F(0), F(1)], [F(1), F(0)]], [[F(0), F(1)], [F(1), F(0)]],
+     lambda a, b, c, d: [[d, c], [b, a]]),
+])
+def test_conjugate_matches_hand_product(p, p_inv, expected):
+    a, b, c, d = words("a", "b", "c", "d")
+    assert conjugate([[a, b], [c, d]], p, p_inv) == expected(a, b, c, d)
+
+
+def test_capelli_zpoly_2x2_hand_expansion():
+    # coldet [[a + alpha - z, b], [c, d - z]] = (a + alpha - z)(d - z) - c b
+    a, b, c, d = words("a", "b", "c", "d")
+    one = FreeWord.const(1)
+    alpha = F(3)
+    got = capelli_zpoly([[a, b], [c, d]], alpha, one)
+    shifted = a + alpha * one
+    assert got.coeffs == (shifted * d - c * b, -shifted - d, one)
 
 
 def test_coldet_of_scalar_permutation_matrix_is_sign():
