@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -286,7 +287,9 @@ def cmd_verify(args) -> int:
         for r in payload["results"]:
             detail = f"  {r['detail']}" if r["detail"] else ""
             print(f"[{r['status']:>8}] {r['name']:14} {r['check']:24} ({r['irrep']}){detail}")
-        print(f"{len(results)} results, {len(failed)} failures, {payload['runtime_ms']} ms")
+        counts = Counter(r["status"] for r in results)
+        print(f"{len(results)} results, {len(failed)} failures, {counts['skipped']} skipped, "
+              f"{counts['measured']} measured, {payload['runtime_ms']} ms")
     return 0 if not failed else 1
 
 

@@ -8,6 +8,14 @@ x^(a-k) d^(b-k) per variable, distinct variables commuting.  Canonical
 form makes operator equality a term-by-term comparison, which is
 strictly stronger than agreeing on any bounded-degree polynomial.
 
+The rule lives in one helper, `_add_reordered`: a product expands
+every term pair through it, a commutator only the pairs where a d
+variable meets an x variable.  The k = 0 term of a pair is its plain
+concatenation, the same monomial and coefficient whichever operand
+comes first, so in a*b - b*a it cancels pair for pair; `commutator`
+never forms it, nor the pairs that have nothing else, and so never
+forms the two full products.
+
 Two variable layouts occur: an m x m grid of formal entries (the
 generic setting, any alpha), and one variable per group element (the
 representation setting, base alpha 1, where the matrix combinations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from . import linalg, ncdet
 from .cyclo import Cyclo
@@ -70,6 +78,40 @@ def _falling(a: int, k: int) -> int:
     for i in range(k):
         out *= a - i
     return out
+
+
+def _add_reordered(out: dict, alpha, base, xa, da, xb, db, hot, drop_plain: bool) -> None:
+    """Add base * x^xa d^da x^xb d^db, normal-ordered, to `out`.
+
+    The one home of the reordering rule: at each hot variable v (da[v]
+    and xb[v] both nonzero) the k-th term of d^b x^a carries
+    C(b, k) * falling(a, k) * alpha^k and lowers both degrees by k.  The
+    first k-tuple is all zeros, the plain concatenation
+    x^(xa+xb) d^(da+db); `drop_plain` leaves it out.
+    """
+    add = int.__add__
+    xs0 = tuple(map(add, xa, xb))
+    ds0 = tuple(map(add, da, db))
+    ranges = [range(min(da[v], xb[v]) + 1) for v in hot]
+    for ks in islice(product(*ranges), 1 if drop_plain else 0, None):
+        key = (xs0, ds0)
+        coeff = base
+        if any(ks):
+            mult = 1
+            xs, ds = list(xs0), list(ds0)
+            for v, k in zip(hot, ks):
+                if k:
+                    mult *= math.comb(da[v], k) * _falling(xb[v], k) * alpha**k
+                    xs[v] -= k
+                    ds[v] -= k
+            key = (tuple(xs), tuple(ds))
+            coeff = base * mult
+        cur = out.get(key)
+        acc = coeff if cur is None else cur + coeff
+        if acc:
+            out[key] = acc
+        elif cur is not None:
+            del out[key]
 
 
 class WeylOp:
@@ -154,42 +196,12 @@ class WeylOp:
             return NotImplemented
         self._check(other)
         alpha = self.context.alpha
-        add = int.__add__
         out: dict = {}
-        out_get = out.get
         for (xa, da), ca in self.terms.items():
             da_support = [v for v, e in enumerate(da) if e]
             for (xb, db), cb in other.terms.items():
-                base = ca * cb
                 hot = [v for v in da_support if xb[v]]
-                if not hot:
-                    key = (tuple(map(add, xa, xb)), tuple(map(add, da, db)))
-                    cur = out_get(key)
-                    acc = base if cur is None else cur + base
-                    if acc:
-                        out[key] = acc
-                    elif cur is not None:
-                        del out[key]
-                    continue
-                ranges = [range(min(da[v], xb[v]) + 1) for v in hot]
-                for ks in product(*ranges):
-                    mult = Fraction(1)
-                    for v, k in zip(hot, ks):
-                        if k:
-                            mult *= math.comb(da[v], k) * _falling(xb[v], k) * alpha**k
-                    xs = list(map(add, xa, xb))
-                    ds = list(map(add, da, db))
-                    for v, k in zip(hot, ks):
-                        xs[v] -= k
-                        ds[v] -= k
-                    coeff = base * mult
-                    key = (tuple(xs), tuple(ds))
-                    cur = out_get(key)
-                    acc = coeff if cur is None else cur + coeff
-                    if acc:
-                        out[key] = acc
-                    elif cur is not None:
-                        del out[key]
+                _add_reordered(out, alpha, ca * cb, xa, da, xb, db, hot, False)
         return WeylOp(self.context, out)
 
     def __rmul__(self, other):
@@ -238,7 +250,43 @@ class WeylOp:
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a * b - b * a
+    """a*b - b*a, without forming either product.
+
+    Expanding a pair of terms by the reordering rule, the all-zero
+    k-tuple gives the plain concatenation x^(xa+xb) d^(da+db) with
+    coefficient ca*cb, the same in a*b and in b*a, so it cancels pair for
+    pair and is never formed.  The rest comes only from pairs where a d
+    variable of the left term meets an x variable of the right one; an
+    index of the right operand's terms by x variable finds exactly those
+    pairs, each once.
+    """
+    a._check(b)
+    out: dict = {}
+    _add_cross_terms(out, a, b, False)
+    _add_cross_terms(out, b, a, True)
+    return WeylOp(a.context, out)
+
+
+def _add_cross_terms(out: dict, left: WeylOp, right: WeylOp, negate: bool) -> None:
+    """Add the terms of left*right with some k != 0 to `out`, negated
+    if `negate`."""
+    alpha = left.context.alpha
+    right_terms = list(right.terms.items())
+    by_x_var: dict = {}
+    for j, ((xb, _), _) in enumerate(right_terms):
+        for v, e in enumerate(xb):
+            if e:
+                by_x_var.setdefault(v, []).append(j)
+    for (xa, da), ca in left.terms.items():
+        support = [v for v, e in enumerate(da) if e and v in by_x_var]
+        if not support:
+            continue
+        if negate:
+            ca = -ca
+        for j in set().union(*(by_x_var[v] for v in support)):
+            (xb, db), cb = right_terms[j]
+            hot = [v for v in support if xb[v]]
+            _add_reordered(out, alpha, ca * cb, xa, da, xb, db, hot, True)
 
 
 # -- action on commutative polynomials ------------------------------------------

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capelli_lab.catalog import catalog_irreps
-from capelli_lab.cyclo import Cyclo
+from capelli_lab.catalog import catalog_irreps, catalog_names
+from capelli_lab.cyclo import Cyclo, cyclo_degree
 from capelli_lab.ncdet import SizeLimit, coldet
 from capelli_lab.weyl import (
     ContextMismatch,
@@ -259,6 +260,39 @@ def test_context_mismatch_rejected():
     b = WeylOp.x(one_var_ctx(), 0)  # distinct context object
     with pytest.raises(ContextMismatch):
         a * b
+    with pytest.raises(ContextMismatch):
+        commutator(a, b)
+
+
+def test_commutator_at_alpha_zero_stores_no_zero_terms():
+    # at alpha = 0 every k >= 1 reordering term vanishes, so d and x commute
+    ctx = WeylContext(("1", "2"), Fraction(0), 12)
+    zeta = Cyclo.zeta(12)
+    a = WeylOp.d(ctx, 0, zeta) * WeylOp.d(ctx, 1) + WeylOp.x(ctx, 1)
+    b = WeylOp.x(ctx, 0) * WeylOp.x(ctx, 1, 3) + WeylOp.d(ctx, 1, zeta)
+    got = commutator(a, b)
+    assert got.terms == {}
+    assert got == a * b - b * a
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_commutator_matches_oracle_on_rep_entries(name):
+    for irrep in catalog_irreps(name).irreps:
+        if irrep.degree > 2:
+            continue
+        _, xm, dm, pi = build_rep(irrep)
+        if name != "S4":
+            pairs = product([e for mat in (xm, dm, pi) for row in mat for e in row], repeat=2)
+        else:
+            # S4's Pi entries have 288 (dim2) or 576 terms, and the oracle's
+            # products with them take seconds: every X and D pair, and for
+            # dim2 one Pi entry against one X and one D entry
+            pairs = list(product([e for mat in (xm, dm) for row in mat for e in row], repeat=2))
+            if irrep.degree == 2:
+                p = pi[0][1]
+                pairs += [pair for e in (xm[0][0], dm[0][0]) for pair in ((p, e), (e, p))]
+        for a, b in pairs:
+            assert commutator(a, b) == a * b - b * a, irrep.label
 
 
 # -- property tests -------------------------------------------------------------------
@@ -290,3 +324,57 @@ def test_weyl_semantics_compose(a, b):
     via_product = apply_to_polynomial(a * b, poly)
     via_steps = apply_to_polynomial(a, apply_to_polynomial(b, poly))
     assert via_product == via_steps
+
+
+ORACLE_ALPHAS = (Fraction(0), Fraction(1), Fraction(3), Fraction(5, 2))
+
+
+@st.composite
+def op_pairs(draw):
+    """Two operators over one context of 1-4 variables, with degrees 0-3
+    and coefficients anywhere in Q(zeta_N) for N in 1, 3, 4, 12."""
+    size = draw(st.integers(1, 4))
+    conductor = draw(st.sampled_from((1, 3, 4, 12)))
+    ctx = WeylContext(tuple(str(v + 1) for v in range(size)),
+                      draw(st.sampled_from(ORACLE_ALPHAS)), conductor)
+    degree = st.tuples(*[st.integers(0, 3)] * size)
+    basis = cyclo_degree(conductor)
+    coeff = st.builds(
+        lambda nums, den: Cyclo(conductor, [Fraction(n, den) for n in nums]),
+        st.lists(st.integers(-3, 3), min_size=basis, max_size=basis),
+        st.integers(1, 3),
+    )
+    ops = []
+    for _ in range(2):
+        terms = draw(st.dictionaries(st.tuples(degree, degree), coeff, max_size=4))
+        ops.append(WeylOp(ctx, {key: c for key, c in terms.items() if c}))
+    return ops
+
+
+@given(op_pairs())
+@settings(max_examples=150, deadline=None)
+def test_commutator_matches_product_oracle(ops):
+    a, b = ops
+    got = commutator(a, b)
+    assert got == a * b - b * a
+    assert all(got.terms.values())
+
+
+@given(op_pairs())
+@settings(max_examples=100, deadline=None)
+def test_product_and_commutator_act_by_composition(ops):
+    # apply_to_polynomial differentiates directly, so this checks the
+    # reordering rule itself, which the product and commutator share
+    a, b = ops
+    ctx = a.context
+    one = Cyclo.one(ctx.conductor)
+    poly = {(4,) * ctx.size: one, tuple(range(1, ctx.size + 1)): Cyclo.zeta(ctx.conductor) + one}
+    ab = apply_to_polynomial(a, apply_to_polynomial(b, poly))
+    ba = apply_to_polynomial(b, apply_to_polynomial(a, poly))
+    assert apply_to_polynomial(a * b, poly) == ab
+    diff = dict(ab)
+    for key, c in ba.items():
+        value = diff.pop(key, Cyclo.zero(ctx.conductor)) - c
+        if value:
+            diff[key] = value
+    assert apply_to_polynomial(commutator(a, b), poly) == diff
