@@ -29,7 +29,7 @@ from .capelli import (
     verify_det_variants,
 )
 from .catalog import catalog_group, catalog_irreps, catalog_names, catalog_summary
-from .groups import DEFAULT_ORDER_LIMIT, Group, load_group
+from .groups import DEFAULT_ORDER_LIMIT, ClosureTooLarge, Group, load_group
 from .irreps import IrrepSet, load_irrep, validate, verify_E_basis, verify_schur_products
 from .reports import CheckResult, Report
 from .weyl import (
@@ -165,14 +165,13 @@ def _is_complete(irrep_set: IrrepSet) -> bool:
 def resolve_group(config: RunConfig) -> Group:
     if config.group_file:
         try:
-            group = load_group(config.group_file)
+            return load_group(config.group_file, config.max_order)
+        except ClosureTooLarge as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load group file: {exc}", file=sys.stderr)
             sys.exit(2)
-        if group.order > config.max_order:
-            print(f"error: group order {group.order} exceeds limit {config.max_order}", file=sys.stderr)
-            sys.exit(2)
-        return group
     if config.group in catalog_names():
         return catalog_group(config.group)
     print(f"error: unknown group {config.group!r}; try one of {', '.join(catalog_names())}",

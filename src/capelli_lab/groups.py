@@ -1,9 +1,14 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are dense indices 0..n-1; the Cayley table is the whole group.
-Construction always validates (identity, inverses, full associativity
-scan, Latin-square rows and columns), so everything downstream may
-assume it is holding an actual group.
+Construction always validates (Latin-square rows and columns, identity,
+inverses, and associativity by Light's test over a greedy generating set
+S, which is exact and costs O(n^2 |S|) with |S| <= log2(n) + 1 for a
+group), so everything downstream may assume it is holding an actual
+group.  The generating set is kept on the group, so that irrep validation
+can check the homomorphism property over generators only.  Loading a
+table from JSON compares its size to the order limit before any of this
+validation runs.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class NotAGroup(ValueError):
@@ -22,7 +28,7 @@ class NotAGroup(ValueError):
 
 
 class ClosureTooLarge(ValueError):
-    """Generated group exceeded the configured order limit."""
+    """A generated or loaded group exceeds the configured order limit."""
 
 
 DEFAULT_ORDER_LIMIT = 10000
@@ -36,6 +42,7 @@ class Group:
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverses: tuple[int, ...]
+    generators: tuple[int, ...]  # generate the table as a semigroup; see _greedy_generators
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -82,43 +89,98 @@ def build_group_from_table(name, element_names, table) -> Group:
         raise NotAGroup(f"{len(element_names)} names for {n} elements")
     rows = []
     for row in table:
-        row = tuple(int(v) for v in row)
-        if len(row) != n or any(v < 0 or v >= n for v in row):
+        row = tuple(map(int, row))
+        if len(row) != n or min(row) < 0 or max(row) >= n:
             raise NotAGroup("table is not n x n over 0..n-1")
         rows.append(row)
     table = tuple(rows)
 
-    all_idx = frozenset(range(n))
+    # with every entry in 0..n-1, a line of n entries is a permutation
+    # exactly when it has n distinct entries
+    columns = tuple(zip(*table))
     for i in range(n):
-        if frozenset(table[i]) != all_idx:
+        if len(set(table[i])) != n:
             raise NotAGroup("row is not a permutation", witness=i)
-        if frozenset(table[j][i] for j in range(n)) != all_idx:
+        if len(set(columns[i])) != n:
             raise NotAGroup("column is not a permutation", witness=i)
 
-    identity = next(
-        (e for e in range(n) if all(table[e][g] == g and table[g][e] == g for g in range(n))),
-        None,
-    )
+    # in a Latin square at most one row (and one column) is the identity map
+    ident = tuple(range(n))
+    identity = next((e for e in range(n) if table[e] == ident and columns[e] == ident), None)
     if identity is None:
         raise NotAGroup("no two-sided identity element")
 
+    # the one right inverse g*h = e must also be a left inverse
     inverses = []
     for g in range(n):
-        ginv = next((h for h in range(n) if table[g][h] == identity and table[h][g] == identity), None)
-        if ginv is None:
+        h = table[g].index(identity)
+        if table[h][g] != identity:
             raise NotAGroup("missing inverse", witness=g)
-        inverses.append(ginv)
+        inverses.append(h)
 
-    for a in range(n):
-        ta = table[a]
-        for b in range(n):
-            tab = table[ta[b]]
-            tb = table[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    raise NotAGroup("associativity fails", witness=(a, b, c))
+    generators = _greedy_generators(table)
+    witness = _associativity_witness(table, columns, generators)
+    if witness is not None:
+        raise NotAGroup("associativity fails", witness=witness)
 
-    return Group(str(name), n, element_names, table, identity, tuple(inverses))
+    return Group(str(name), n, element_names, table, identity, tuple(inverses), generators)
+
+
+def _associativity_witness(table, columns, generators):
+    """Light's test: a triple (x, s, y) with s a generator and
+    (x*s)*y != x*(s*y), or None when the table is associative.
+
+    A = {s : (x*s)*y == x*(s*y) for all x, y} is closed under products: for
+    a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The
+    generators lie in A and every element is a product of generators, so A
+    is the whole table.
+    """
+    n = len(table)
+    if n == 1:
+        return None  # ((0,),) is associative; itemgetter of one index returns no tuple
+    for s in generators:
+        xs_rows = list(map(table.__getitem__, columns[s]))  # row of x*s, per x
+        x_s_y = list(map(itemgetter(*table[s]), table))  # x*(s*y) over y, per x
+        if xs_rows != x_s_y:
+            x = next(x for x in range(n) if xs_rows[x] != x_s_y[x])
+            y = next(y for y in range(n) if xs_rows[x][y] != x_s_y[x][y])
+            return (x, s, y)
+    return None
+
+
+def _greedy_generators(table) -> tuple[int, ...]:
+    """A generating set S in index order: each element not yet reached joins
+    S.  The reached set is the closure of S (not of the identity) under
+    right multiplication by S, so every element is a product of elements of
+    S in some bracketing; no associativity is assumed.  For a group,
+    each new generator at least doubles the reached subgroup, so
+    |S| <= log2(n) + 1."""
+    n = len(table)
+    reached = [False] * n
+    elements = []
+    generators = []
+    for s in range(n):
+        if reached[s]:
+            continue
+        generators.append(s)
+        reached[s] = True
+        # earlier elements times the new generator, then everything new
+        # times every generator
+        frontier = [s]
+        for x in elements:
+            y = table[x][s]
+            if not reached[y]:
+                reached[y] = True
+                frontier.append(y)
+        for x in frontier:
+            row = table[x]
+            for t in generators:
+                y = row[t]
+                if not reached[y]:
+                    reached[y] = True
+                    frontier.append(y)
+        elements.extend(frontier)
+    return tuple(generators)
 
 
 # -- permutation groups ---------------------------------------------------
@@ -238,12 +300,18 @@ def group_to_dict(group: Group) -> dict:
 
 
 def group_from_dict(data: dict) -> Group:
-    group = build_group_from_table(data["name"], data["elements"], data["table"])
-    if group.order != int(data["order"]):
-        raise NotAGroup(f"declared order {data['order']} but table has {group.order}")
-    return group
+    n = len(data["table"])
+    if n != int(data["order"]):
+        raise NotAGroup(f"declared order {data['order']} but table has {n}")
+    return build_group_from_table(data["name"], data["elements"], data["table"])
 
 
-def load_group(path) -> Group:
+def load_group(path, max_order=DEFAULT_ORDER_LIMIT) -> Group:
+    """Read a group JSON file.  A table with more rows than max_order is
+    refused right after parsing, before any validation work."""
     with open(path) as fh:
-        return group_from_dict(json.load(fh))
+        data = json.load(fh)
+    n = len(data["table"])
+    if n > max_order:
+        raise ClosureTooLarge(f"group order {n} exceeds limit {max_order}")
+    return group_from_dict(data)

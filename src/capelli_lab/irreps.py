@@ -1,10 +1,12 @@
 """Unitary matrix irreps with cyclotomic entries.
 
 An irrep here is the full table g -> matrix(g).  Validation checks the
-homomorphism property on every pair, unitarity on every element, and
-irreducibility through the character inner product; complete sets are
-additionally checked for the degree-square sum and pairwise character
-orthogonality.  Nothing is ever repaired: invalid input is rejected.
+homomorphism property on every pair (g, s) with s in the group's
+generating set, which implies it on every pair; unitarity on every
+element; and irreducibility through the character inner product.
+Complete sets are additionally checked for the degree-square sum and
+pairwise character orthogonality.  Nothing is ever repaired: invalid
+input is rejected.
 
 E_matrix builds the matrix of algebra elements whose (i, j) entry is the
 sum over g of matrix(g)[i][j] * g; the Schur product relations these
@@ -116,7 +118,15 @@ def irrep_from_generators(group, label, gen_indices, gen_matrices, conductor=Non
 
 
 def validate(irrep: Irrep) -> Report:
-    """Homomorphism on all pairs, unitarity everywhere, irreducibility."""
+    """Homomorphism, unitarity everywhere, irreducibility.
+
+    The homomorphism property is checked as matrix(g*s) == matrix(g) *
+    matrix(s) for every g and every s in group.generators.  That is exact:
+    B = {b : matrix(a*b) == matrix(a) * matrix(b) for all a} is closed under
+    products, since matrix(a(bc)) = matrix((ab)c) = matrix(ab) matrix(c) =
+    matrix(a) matrix(b) matrix(c) = matrix(a) matrix(bc) for b, c in B; it
+    contains the generators, so it is the whole group.
+    """
     report = Report()
     group = irrep.group
     mats = irrep.matrices
@@ -126,10 +136,10 @@ def validate(irrep: Irrep) -> Report:
     report.add("identity-image", irrep.label, linalg.mat_eq(mats[group.identity], ident))
 
     witness = None
-    for g in range(n):
-        for h in range(n):
-            if not linalg.mat_eq(linalg.mat_mul(mats[g], mats[h]), mats[group.mul(g, h)]):
-                witness = (group.element_names[g], group.element_names[h])
+    for s in group.generators:
+        for g in range(n):
+            if not linalg.mat_eq(linalg.mat_mul(mats[g], mats[s]), mats[group.mul(g, s)]):
+                witness = (group.element_names[g], group.element_names[s])
                 break
         if witness:
             break
@@ -317,6 +327,8 @@ def irrep_to_dict(irrep: Irrep) -> dict:
 def irrep_from_dict(group: Group, data: dict) -> Irrep:
     if data["group"] != group.name:
         raise ValueError(f"irrep file is for group {data['group']!r}, not {group.name!r}")
+    if len(data["matrices"]) != group.order:
+        raise ValueError(f"{len(data['matrices'])} matrices for group of order {group.order}")
     declared = int(data["conductor"])
     target = math.lcm(declared, exponent(group))
     degree = int(data["degree"])
@@ -327,8 +339,6 @@ def irrep_from_dict(group: Group, data: dict) -> Irrep:
         matrices.append(
             tuple(tuple(Cyclo.from_dict(v).promote(target) for v in row) for row in mat)
         )
-    if len(matrices) != group.order:
-        raise ValueError(f"{len(matrices)} matrices for group of order {group.order}")
     return Irrep(str(data["label"]), group, degree, tuple(matrices))
 
 

@@ -191,3 +191,39 @@ def act(op_terms, alpha, poly):
             new = tuple(p - b + a for p, b, a in zip(pdeg, ddeg, xdeg))
             out[new] = out.get(new, 0) + c * pc * factor
     return {k: v for k, v in out.items() if v}
+
+
+# -- group axioms by exhaustion ------------------------------------------------------------
+
+
+def brute_associative(table):
+    """(a*b)*c == a*(b*c) for every triple: the full O(n^3) scan."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def matrix_product(a, b):
+    """Row-by-column product using only the entries' own + and *."""
+    m = len(a)
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, m):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def brute_homomorphism(table, matrices):
+    """rho(g*h) == rho(g) rho(h) for every pair (g, h)."""
+    n = len(table)
+    return all(
+        matrix_product(matrices[g], matrices[h]) == matrices[table[g][h]]
+        for g in range(n) for h in range(n)
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from capelli_lab import groups
 from capelli_lab.catalog import catalog_group, catalog_irreps
 from capelli_lab.cli import CHECKS, main
 from capelli_lab.groups import group_to_dict
@@ -167,6 +168,38 @@ def test_order_limit_env_var(tmp_path, capsys, monkeypatch):
         run(capsys, "verify", "--group-file", str(group_path),
             "--irrep-file", str(group_path), "--checks", "schur")
     assert exc.value.code == 2
+
+
+def _no_build(*args):
+    raise AssertionError("the table was validated")
+
+
+def _not_latin(data):
+    data["table"][1][1] = data["table"][1][2]
+
+
+def _wrong_order(data):
+    data["order"] = 7
+
+
+@pytest.mark.parametrize("edit, limit, message", [
+    (None, "5", "error: group order 6 exceeds limit 5"),
+    (_not_latin, "5", "error: group order 6 exceeds limit 5"),
+    (_wrong_order, "10000", "declared order 7 but table has 6"),
+], ids=["over-limit-group", "over-limit-non-group", "wrong-declared-order"])
+def test_group_file_refused_before_validation(tmp_path, capsys, monkeypatch, edit, limit, message):
+    monkeypatch.setattr(groups, "build_group_from_table", _no_build)
+    monkeypatch.setenv("CAPELLI_LAB_MAX_ORDER", limit)
+    data = group_to_dict(catalog_group("S3"))
+    if edit:
+        edit(data)
+    group_path = tmp_path / "s3.json"
+    group_path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--group-file", str(group_path),
+            "--irrep-file", str(group_path), "--checks", "schur")
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_text_output_is_sorted_and_deterministic(capsys):

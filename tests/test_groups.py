@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli_lab.catalog import catalog_group, catalog_names
@@ -18,7 +18,7 @@ from capelli_lab.groups import (
     group_to_dict,
     perm_from_cycles,
 )
-from helpers import brute_closure, compose
+from helpers import brute_associative, brute_closure, compose
 
 
 def cyclic_table(n):
@@ -62,6 +62,106 @@ def test_nonassociative_loop_rejected_with_witness():
     assert witness is not None
     a, b, c = witness
     assert LOOP5[LOOP5[a][b]][c] != LOOP5[a][LOOP5[b][c]]
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    square = [[0] * n for _ in range(n)]
+    square[0] = list(range(n))
+    for i in range(n):
+        square[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, square))
+            return
+        i, j = cells[k]
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                yield from fill(k + 1)
+
+    yield from fill(0)
+
+
+def assert_build_matches_oracle(table):
+    """Accepted exactly when the full scan finds the table associative; an
+    associativity rejection names a triple that really fails.  Returns the
+    rejection message, or None when accepted."""
+    names = [str(i) for i in range(len(table))]
+    if brute_associative(table):
+        build_group_from_table("loop", names, table)
+        return None
+    with pytest.raises(NotAGroup) as exc:
+        build_group_from_table("loop", names, table)
+    if str(exc.value) == "associativity fails":
+        x, s, y = exc.value.witness
+        assert table[table[x][s]][y] != table[x][table[s][y]]
+    return str(exc.value)
+
+
+def test_every_loop_up_to_order_6_matches_full_scan():
+    # all 9,471 reduced Latin squares of order <= 6; 93 are groups, and
+    # 1,730 have two-sided inverses but are not associative, so they reach
+    # the associativity test
+    messages = [assert_build_matches_oracle(sq) for n in range(1, 7)
+                for sq in reduced_latin_squares(n)]
+    assert messages.count(None) == 1 + 1 + 1 + 4 + 6 + 80
+    assert messages.count("associativity fails") == 2 + 1728
+
+
+@st.composite
+def catalog_loops(draw):
+    """A catalog group table under a random relabelling (so the identity
+    need not be element 0), with up to two intercalates swapped: an
+    intercalate is a 2 x 2 subsquare [[p, q], [q, p]], and exchanging p and
+    q in it keeps the square Latin.  Intercalates off the identity's row and
+    column keep the identity two-sided."""
+    group = catalog_group(draw(st.sampled_from([n for n in catalog_names()
+                                                if catalog_group(n).order >= 4])))
+    n = group.order
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[group.table[a][b]]
+    e = perm[group.identity]
+    for _ in range(draw(st.integers(0, 2))):
+        intercalates = [
+            (a, b, c, d)
+            for a in range(n) for b in range(a + 1, n) for c in range(n)
+            for d in [table[b].index(table[a][c])]
+            if c < d and table[a][d] == table[b][c] and e not in (a, b, c, d)
+        ]
+        if not intercalates:
+            break
+        a, b, c, d = draw(st.sampled_from(intercalates))
+        table[a][c], table[a][d] = table[a][d], table[a][c]
+        table[b][c], table[b][d] = table[b][d], table[b][c]
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_loops())
+def test_catalog_loops_match_full_scan(table):
+    assert_build_matches_oracle(table)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_generators_reach_the_group(name):
+    group = catalog_group(name)
+    gens = group.generators
+    assert len(gens) <= math.log2(group.order) + 1
+    # closure of the generators (not of the identity) under right multiplication
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        frontier = [y for x in frontier for y in {group.mul(x, s) for s in gens}
+                    if y not in reached]
+        reached.update(frontier)
+    assert reached == set(range(group.order))
 
 
 def test_malformed_table_rejected():

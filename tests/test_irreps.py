@@ -1,4 +1,6 @@
+import ast
 import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from capelli_lab.irreps import (
     verify_E_basis,
     verify_schur_products,
 )
-from helpers import leibniz_det, naive_convolve
+from helpers import brute_homomorphism, leibniz_det, matrix_product, naive_convolve
 
 
 def test_validate_trivial_everywhere():
@@ -60,6 +62,49 @@ def test_validate_catches_non_unitary():
     assert "unitarity" in failed
     assert "homomorphism" not in failed
     assert "irreducibility" in failed
+
+
+def homomorphism_cases(irrep):
+    """The irrep's matrices, then perturbed copies: one matrix replaced by
+    the next element's, or one nonzero entry negated, at each generator and
+    at the last element."""
+    mats = irrep.matrices
+    n = len(mats)
+    yield mats
+    for g in sorted(set(irrep.group.generators) | {n - 1}):
+        if n > 1:
+            yield mats[:g] + (mats[(g + 1) % n],) + mats[g + 1:]
+        block = [list(row) for row in mats[g]]
+        i, j = next((i, j) for i, row in enumerate(block) for j, v in enumerate(row) if v)
+        block[i][j] = -block[i][j]
+        yield mats[:g] + (tuple(map(tuple, block)),) + mats[g + 1:]
+
+
+def assert_homomorphism_verdict_matches_oracle(group, mats):
+    report = validate(Irrep("case", group, len(mats[0]), mats))
+    (result,) = [r for r in report.results if r.check == "homomorphism"]
+    assert (result.status == "pass") == brute_homomorphism(group.table, mats)
+    if result.status == "fail":
+        index = {name: g for g, name in enumerate(group.element_names)}
+        g, h = (index[name] for name in ast.literal_eval(result.detail.removeprefix("fails at pair ")))
+        assert matrix_product(mats[g], mats[h]) != mats[group.mul(g, h)]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_homomorphism_check_matches_all_pairs_oracle(name):
+    for irrep in catalog_irreps(name).irreps:
+        for mats in homomorphism_cases(irrep):
+            assert_homomorphism_verdict_matches_oracle(irrep.group, mats)
+
+
+@pytest.mark.parametrize("image", [[[-1]], [[0]], [[1, 0], [0, 0]], [[0, 1], [1, 0]]])
+def test_homomorphism_check_on_trivial_group_with_non_identity_image(image):
+    # rho(e) = rho(e)^2 is the whole homomorphism property here: it holds
+    # for the idempotents 0 and diag(1, 0), fails for -1 and the swap
+    c1 = catalog_group("C1")
+    mats = (tuple(tuple(Cyclo.rational(v) for v in row) for row in image),)
+    assert_homomorphism_verdict_matches_oracle(c1, mats)
+    assert not validate(Irrep("odd", c1, len(image), mats)).ok
 
 
 def test_validate_complete_s3():
@@ -265,6 +310,15 @@ def test_irrep_json_rejects_wrong_group():
     data["group"] = "Q8"
     with pytest.raises(ValueError):
         irrep_from_dict(catalog_group("Q8"), data)
+
+
+def test_irrep_json_counts_matrices_before_reading_scalars():
+    std = catalog_irreps("S3").by_label("std")
+    data = irrep_to_dict(std)
+    data["matrices"] = data["matrices"][:-1]
+    data["matrices"][0][0][0] = {"conductor": 3, "coeffs": []}  # not a scalar
+    with pytest.raises(ValueError, match="5 matrices for group of order 6"):
+        irrep_from_dict(std.group, data)
 
 
 def test_irrep_json_rejects_bad_shape():
