@@ -27,6 +27,7 @@ def main(argv=None):
     names = args.groups.split(",") if args.groups else list(catalog_names())
     combined = []
     grand = Counter()
+    seconds = Counter()
     started = time.monotonic()
     for name in names:
         irrep_set = catalog_irreps(name)
@@ -35,6 +36,7 @@ def main(argv=None):
             t0 = time.monotonic()
             report = fn(irrep_set)
             elapsed = time.monotonic() - t0
+            seconds[check] += elapsed
             statuses = Counter(r.status for r in report.results)
             grand.update(statuses)
             row[check] = "FAIL" if statuses.get("fail") else "ok"
@@ -56,6 +58,7 @@ def main(argv=None):
     total = time.monotonic() - started
     print(f"\n{sum(grand.values())} results in {total:.1f}s: "
           + ", ".join(f"{k}={v}" for k, v in sorted(grand.items())))
+    print("seconds per check: " + " ".join(f"{check}={seconds[check]:.2f}" for check in CHECKS))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"tool": "capelli-lab", "results": combined}, fh, indent=2)

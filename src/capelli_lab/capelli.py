@@ -4,9 +4,10 @@ The Capelli element of an irrep is the column determinant of the E
 matrix shifted by alpha*(m-1, m-2, ..., 0) on the diagonal minus z; it
 is a z-polynomial with group-algebra coefficients.  The closed form
 says it collapses to u-polynomial times identity plus character element
-times the next u-polynomial; evaluating at any z that misses the roots
-of that next u-polynomial yields a basis of the center, one element per
-irrep.
+times the next u-polynomial; evaluating at points that miss the roots
+of that next u-polynomial, and one set-level exceptional combination of
+points (see `center_basis`), yields a basis of the center, one element
+per irrep.
 
 The determinant-variant checks at the bottom compare the column form
 against the row form (which matches exactly) and against the symmetrized
@@ -210,7 +211,8 @@ def verify_conjugation_invariance(irrep: Irrep, p_matrix=None) -> Report:
 def choose_k(irrep: Irrep, k=None) -> Fraction:
     """An evaluation point avoiding the roots of u^(m-1), which are the
     nonnegative multiples 0, alpha, ..., (m-2)*alpha; the default -1 is
-    always safe."""
+    always safe.  This is the per-irrep condition only: `center_basis`
+    also rejects one set-level combination of points."""
     if k is None:
         return DEFAULT_K
     k = Fraction(k)
@@ -222,15 +224,32 @@ def choose_k(irrep: Irrep, k=None) -> Fraction:
 
 
 def center_basis(irrep_set: IrrepSet, k_by_label=None):
-    """Capelli elements evaluated at safe points: count must equal the
-    class count and the class-sum coordinates must have full exact rank."""
+    """Capelli elements evaluated at points k_rho: count must equal the
+    class count and the class-sum coordinates must have full exact rank.
+
+    By the closed form C^rho(k) = u^(m-1)(k) * ((alpha (m-1) - k) 1 +
+    chi_rho), with chi_rho alpha times a primitive central idempotent and
+    1 the sum of those idempotents.  In the idempotent basis the values
+    form a permuted diagonal (the alpha_rho) plus a rank-one term, so by
+    the matrix determinant lemma they are a basis exactly when every k_rho
+    passes `choose_k` and, for a complete set, sum_rho k_rho m_rho / |G|
+    != 1 + sum_rho (m_rho - 1).  BadK is raised when either fails; a
+    default of -1 everywhere passes both.  (Without every irrep, a
+    coordinate no value hits makes the values independent anyway.)
+    """
     report = Report()
     group = irrep_set.group
     partition = conjugacy_classes(group)
+    ks = [choose_k(irrep, None if k_by_label is None else k_by_label.get(irrep.label))
+          for irrep in irrep_set.irreps]
+    degrees = [irrep.degree for irrep in irrep_set.irreps]
+    exceptional = 1 + sum(m - 1 for m in degrees)
+    if (sum(m * m for m in degrees) == group.order
+            and sum(k * m for k, m in zip(ks, degrees)) / group.order == exceptional):
+        raise BadK(f"sum of k * degree / |G| is {exceptional} = 1 + sum of (degree - 1)")
     elements = []
-    for irrep in irrep_set.irreps:
-        k = choose_k(irrep, None if k_by_label is None else k_by_label.get(irrep.label))
-        value = capelli_element(irrep).poly(Fraction(k))
+    for irrep, k in zip(irrep_set.irreps, ks):
+        value = capelli_element(irrep).poly(k)
         elements.append(value)
         report.add("basis-element-central", irrep.label, value.is_central())
     _rank_check(report, "capelli-basis", elements, partition)

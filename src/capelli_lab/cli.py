@@ -34,15 +34,12 @@ from .irreps import IrrepSet, load_irrep, validate, verify_E_basis, verify_schur
 from .reports import CheckResult, Report
 from .weyl import (
     GENERIC_SIZE_LIMIT,
-    REP_DEGREE_LIMIT,
     THEOREM_M_LIMIT,
     build_generic,
-    build_rep,
     verify_capelli,
     verify_capelli_properties,
-    verify_capelli_rep,
     verify_det_equalities,
-    verify_pi_relations,
+    verify_rep_identity,
     verify_rep_relations,
 )
 
@@ -83,24 +80,12 @@ def _check_basis_char(irrep_set: IrrepSet) -> Report:
     return report
 
 
-def _within_rep_limit(report: Report, check: str, irrep_set: IrrepSet):
-    """The irreps the Weyl representation checks can take; each one above
-    REP_DEGREE_LIMIT is recorded in `report` as skipped instead."""
-    for irrep in irrep_set.irreps:
-        if irrep.degree > REP_DEGREE_LIMIT:
-            report.results.append(
-                _skip(check, irrep.label, f"degree {irrep.degree} > {REP_DEGREE_LIMIT}")
-            )
-        else:
-            yield irrep
-
-
 def _check_weyl_relations(irrep_set: IrrepSet) -> Report:
     report = Report()
-    for irrep in _within_rep_limit(report, "weyl-relations", irrep_set):
-        report.extend(verify_rep_relations(irrep))
-        _, _, _, pi = build_rep(irrep)
-        report.extend(verify_pi_relations(pi, irrep.alpha, irrep.label))
+    for irrep in irrep_set.irreps:
+        relations = verify_rep_relations(irrep)
+        report.extend(relations)
+        report.extend(verify_rep_identity(irrep, "pi-relations", relations))
     return report
 
 
@@ -110,8 +95,7 @@ def _check_weyl_capelli(irrep_set: IrrepSet) -> Report:
         for alpha in GENERIC_ALPHAS:
             _, xm, dm, pi = build_generic(m, alpha)
             report.extend(verify_capelli(xm, dm, pi, alpha, f"generic m={m} alpha={alpha}"))
-    for irrep in _within_rep_limit(report, "capelli-identity", irrep_set):
-        report.extend(verify_capelli_rep(irrep))
+    report.extend(_per_irrep(irrep_set, verify_rep_identity, "capelli-identity"))
     return report
 
 
@@ -129,10 +113,6 @@ def _check_det_equalities(irrep_set: IrrepSet) -> Report:
     for m in range(1, THEOREM_M_LIMIT + 1):
         report.extend(verify_det_equalities(m))
     return report
-
-
-def _skip(check, irrep, detail):
-    return CheckResult(check, irrep, "skipped", detail)
 
 
 CHECKS = {
@@ -253,7 +233,8 @@ def cmd_verify(args) -> int:
         started = time.monotonic()
         try:
             if name in NEEDS_COMPLETE_SET and not complete:
-                entries = [_skip(name, "set", "needs the complete irrep set of the group")]
+                entries = [CheckResult(name, "set", "skipped",
+                                       "needs the complete irrep set of the group")]
             else:
                 entries = CHECKS[name](irrep_set).results
         except Exception as exc:  # a crash inside one check is a failure, not an abort

@@ -314,8 +314,15 @@ class Cyclo:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "Cyclo":
-        n = int(data["conductor"])
+    def from_dict(data) -> "Cyclo":
+        """A scalar from its JSON form; data of the wrong shape raises
+        ValueError naming the field."""
+        if not (isinstance(data, dict) and isinstance(data.get("conductor"), int)
+                and isinstance(data.get("coeffs"), list)):
+            raise ValueError("a scalar is an object with an integer 'conductor' and a 'coeffs' list")
+        if not all(isinstance(s, (str, int)) for s in data["coeffs"]):
+            raise ValueError("field 'coeffs' must hold strings or integers")
+        n = data["conductor"]
         coeffs = [Fraction(s) for s in data["coeffs"]]
         if len(coeffs) != cyclo_degree(n):
             raise ValueError(

@@ -299,19 +299,28 @@ def group_to_dict(group: Group) -> dict:
     }
 
 
-def group_from_dict(data: dict) -> Group:
-    n = len(data["table"])
-    if n != int(data["order"]):
+def group_from_dict(data, max_order=DEFAULT_ORDER_LIMIT) -> Group:
+    """A group from its JSON form.  A table with more rows than max_order
+    is refused before any work that scales with the table; data of the
+    wrong shape raises ValueError naming the field."""
+    if not isinstance(data, dict) or not isinstance(data.get("table"), list):
+        raise ValueError("a group is an object with a 'table' list")
+    table = data["table"]
+    n = len(table)
+    if n > max_order:
+        raise ClosureTooLarge(f"group order {n} exceeds limit {max_order}")
+    if not isinstance(data["order"], int):
+        raise ValueError("field 'order' must be an integer")
+    if n != data["order"]:
         raise NotAGroup(f"declared order {data['order']} but table has {n}")
-    return build_group_from_table(data["name"], data["elements"], data["table"])
+    if not all(isinstance(row, list) and {int}.issuperset(map(type, row)) for row in table):
+        raise ValueError("field 'table' must be a list of rows of integers")
+    if not isinstance(data["elements"], list):
+        raise ValueError("field 'elements' must be a list")
+    return build_group_from_table(data["name"], data["elements"], table)
 
 
 def load_group(path, max_order=DEFAULT_ORDER_LIMIT) -> Group:
-    """Read a group JSON file.  A table with more rows than max_order is
-    refused right after parsing, before any validation work."""
+    """Read a group JSON file; see group_from_dict."""
     with open(path) as fh:
-        data = json.load(fh)
-    n = len(data["table"])
-    if n > max_order:
-        raise ClosureTooLarge(f"group order {n} exceeds limit {max_order}")
-    return group_from_dict(data)
+        return group_from_dict(json.load(fh), max_order)

@@ -324,17 +324,24 @@ def irrep_to_dict(irrep: Irrep) -> dict:
     }
 
 
-def irrep_from_dict(group: Group, data: dict) -> Irrep:
+def irrep_from_dict(group: Group, data) -> Irrep:
+    """An irrep of `group` from its JSON form; data of the wrong shape
+    raises ValueError naming the field.  The matrix count is compared
+    with the group order before any scalar is read."""
+    if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
+        raise ValueError("an irrep is an object with a 'matrices' list")
     if data["group"] != group.name:
         raise ValueError(f"irrep file is for group {data['group']!r}, not {group.name!r}")
     if len(data["matrices"]) != group.order:
         raise ValueError(f"{len(data['matrices'])} matrices for group of order {group.order}")
-    declared = int(data["conductor"])
+    declared, degree = data["conductor"], data["degree"]
+    if not all(isinstance(v, int) and v > 0 for v in (declared, degree)):
+        raise ValueError("fields 'conductor' and 'degree' must be positive integers")
     target = math.lcm(declared, exponent(group))
-    degree = int(data["degree"])
     matrices = []
     for mat in data["matrices"]:
-        if len(mat) != degree or any(len(row) != degree for row in mat):
+        if not (isinstance(mat, list) and len(mat) == degree
+                and all(isinstance(row, list) and len(row) == degree for row in mat)):
             raise ValueError("matrix block is not degree x degree")
         matrices.append(
             tuple(tuple(Cyclo.from_dict(v).promote(target) for v in row) for row in mat)

@@ -20,7 +20,10 @@ Two variable layouts occur: an m x m grid of formal entries (the
 generic setting, any alpha), and one variable per group element (the
 representation setting, base alpha 1, where the matrix combinations
 X, D built from a unitary irrep satisfy the grid relations with
-alpha = group order / degree).
+alpha = group order / degree).  The representation side checks only
+those relations; its Pi relations and Capelli identity are the generic
+ones at (m, alpha = |G|/m), carried over by the homomorphism
+x_ij -> X_ij, d_ij -> D_ij that the relations define (`verify_rep_identity`).
 
 The Capelli determinants of Pi (shifted, conjugated, row, column and
 double) are built by the ring-generic functions in ncdet, the same ones
@@ -51,10 +54,9 @@ from .ncdet import (
     positioned_shift_doubledet,
     rowdet,
 )
-from .reports import Report
+from .reports import CheckResult, Report
 
 GENERIC_SIZE_LIMIT = 3
-REP_DEGREE_LIMIT = 2
 THEOREM_M_LIMIT = 2
 
 
@@ -329,13 +331,13 @@ def build_generic(m: int, alpha) -> tuple[WeylContext, list, list, list]:
     ctx = WeylContext(names, Fraction(alpha), 1)
     xm = [[WeylOp.x(ctx, i * m + j) for j in range(m)] for i in range(m)]
     dm = [[WeylOp.d(ctx, i * m + j) for j in range(m)] for i in range(m)]
-    pi = _transpose_product(ctx, xm, dm)
+    pi = transpose_product(ctx, xm, dm)
     return ctx, xm, dm, pi
 
 
-def build_rep(irrep: Irrep) -> tuple[WeylContext, list, list, list]:
+def build_rep(irrep: Irrep) -> tuple[WeylContext, list, list]:
     """One variable per group element; X uses conjugated matrix entries,
-    D the plain ones, Pi = transpose(X) * D."""
+    D the plain ones."""
     group = irrep.group
     names = tuple(group.element_names)
     ctx = WeylContext(names, Fraction(1), irrep.conductor)
@@ -350,11 +352,11 @@ def build_rep(irrep: Irrep) -> tuple[WeylContext, list, list, list]:
                 if v:
                     xm[i][j] = xm[i][j] + WeylOp.x(ctx, g, v.conjugate())
                     dm[i][j] = dm[i][j] + WeylOp.d(ctx, g, v)
-    pi = _transpose_product(ctx, xm, dm)
-    return ctx, xm, dm, pi
+    return ctx, xm, dm
 
 
-def _transpose_product(ctx, xm, dm):
+def transpose_product(ctx, xm, dm):
+    """Pi = transpose(X) * D, the one formula for every Pi."""
     m = len(xm)
     pi = []
     for i in range(m):
@@ -379,7 +381,7 @@ def verify_rep_relations(irrep: Irrep) -> Report:
     operands); the mixed relation runs over all index 4-tuples.
     """
     report = Report()
-    ctx, xm, dm, _ = build_rep(irrep)
+    ctx, xm, dm = build_rep(irrep)
     m = irrep.degree
     alpha = irrep.alpha
     zero = WeylOp.zero(ctx)
@@ -459,13 +461,44 @@ def verify_capelli(xm, dm, pi, alpha, label="generic") -> Report:
     return report
 
 
-def verify_capelli_rep(irrep: Irrep) -> Report:
-    if irrep.degree > REP_DEGREE_LIMIT:
-        raise SizeLimit(
-            f"representation Capelli check limited to degree {REP_DEGREE_LIMIT}"
-        )
-    _, xm, dm, pi = build_rep(irrep)
-    return verify_capelli(xm, dm, pi, irrep.alpha, label=irrep.label)
+def verify_rep_identity(irrep: Irrep, identity: str, relations: Report | None = None) -> Report:
+    """The irrep's `identity` ("pi-relations" or "capelli-identity"),
+    derived from the generic one at (m, alpha) = (degree, |G|/degree).
+
+    The grid Weyl algebra A at alpha is presented by the generators x_ij,
+    d_ij and the relations [x, x] = 0, [d, d] = 0, [d_ij, x_kl] =
+    alpha * delta_ik * delta_jl.  Its normal-ordered monomials form a PBW
+    basis, and a `WeylOp` holds exactly the coordinates in that basis, so
+    the generic identity checked in normal form holds in A itself.
+    `relations` (by default `verify_rep_relations(irrep)`) checks the same
+    relations for the irrep's X and D; once they all pass, x_ij -> X_ij,
+    d_ij -> D_ij extends to an algebra homomorphism phi out of A.  phi
+    maps the generic Pi to the irrep's Pi, since `transpose_product`
+    gives both, and each identity is a ring expression in X, D and Pi,
+    so phi carries it over.  If a relation fails there is no phi, and the
+    result is `fail` naming that relation; a degree above
+    GENERIC_SIZE_LIMIT is `skipped`.
+    """
+    report = Report()
+    try:
+        ctx, xm, dm, pi = build_generic(irrep.degree, irrep.alpha)
+    except SizeLimit as exc:
+        report.results.append(CheckResult(identity, irrep.label, "skipped", str(exc)))
+        return report
+    broken = (verify_rep_relations(irrep) if relations is None else relations).failures()
+    if broken:
+        report.add(identity, irrep.label, False,
+                   f"not derived: {broken[0].check} fails at {broken[0].detail}")
+        return report
+    if identity == "pi-relations":
+        [generic] = verify_pi_relations(pi, ctx.alpha).results
+    else:
+        [generic] = verify_capelli(xm, dm, pi, ctx.alpha).results
+    route = f"generic m={irrep.degree} alpha={ctx.alpha}"
+    ok = generic.status == "pass"
+    report.add(identity, irrep.label, ok, f"derived from {route} by x_ij -> X_ij, d_ij -> D_ij"
+               if ok else f"{route} fails {generic.detail}".rstrip())
+    return report
 
 
 def capelli_zpoly(pi, alpha) -> ZPoly:

@@ -30,11 +30,12 @@ from capelli_lab.groups import conjugacy_classes
 from capelli_lab.weyl import (
     build_generic,
     build_rep,
+    transpose_product,
     verify_capelli,
     verify_capelli_properties,
-    verify_capelli_rep,
     verify_det_equalities,
     verify_pi_relations,
+    verify_rep_identity,
     verify_rep_relations,
 )
 
@@ -100,12 +101,15 @@ def test_criterion_5_weyl_suite():
     started = time.monotonic()
     for name in catalog_names():
         for irrep in catalog_irreps(name).irreps:
-            if irrep.degree > 2:
-                continue
             report = verify_rep_relations(irrep)
             assert report.ok, f"{name}/{irrep.label}: {report.failures()}"
-            _, _, _, pi = build_rep(irrep)
-            pi_report = verify_pi_relations(pi, irrep.alpha, irrep.label)
+            for identity in ("pi-relations", "capelli-identity"):
+                derived = verify_rep_identity(irrep, identity, report)
+                assert derived.ok, f"{name}/{irrep.label}: {derived.failures()}"
+            if irrep.degree > 2:
+                continue
+            ctx, xm, dm = build_rep(irrep)
+            pi_report = verify_pi_relations(transpose_product(ctx, xm, dm), irrep.alpha, irrep.label)
             assert pi_report.ok, f"{name}/{irrep.label}: {pi_report.failures()}"
     for m in (1, 2, 3):
         for alpha in GENERIC_ALPHAS:
@@ -114,7 +118,8 @@ def test_criterion_5_weyl_suite():
             assert report.ok, f"generic m={m} alpha={alpha}"
     for name in ("S3", "D4", "Q8"):
         irrep = catalog_irreps(name).by_label("std")
-        report = verify_capelli_rep(irrep)
+        ctx, xm, dm = build_rep(irrep)
+        report = verify_capelli(xm, dm, transpose_product(ctx, xm, dm), irrep.alpha)
         assert report.ok, f"{name}/std capelli identity"
     for m in (1, 2):
         for alpha in GENERIC_ALPHAS:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capelli_lab import linalg
 from capelli_lab.algebra import AlgebraElement, character_element
@@ -24,6 +26,7 @@ from capelli_lab.capelli import (
 )
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
+from capelli_lab.groups import conjugacy_classes
 from capelli_lab.irreps import E_matrix
 from capelli_lab.ncdet import ZPoly
 from helpers import naive_convolve
@@ -241,6 +244,57 @@ def test_center_basis_s3_and_q8():
 def test_center_basis_with_custom_k():
     elements, report = center_basis(S3, {"std": Fraction(7, 2)})
     assert report.ok
+
+
+def _full_rank_at(irrep_set, ks):
+    """The oracle: exact rank of the class-sum coordinates of the Capelli
+    elements evaluated at ks, with no condition on the points."""
+    partition = conjugacy_classes(irrep_set.group)
+    values = [capelli_element(r).poly(k) for r, k in zip(irrep_set.irreps, ks)]
+    conductor = irrep_set.conductor
+    rows = [[c.promote(conductor) for c in v.coordinates_in_class_sums(partition)]
+            for v in values]
+    return linalg.rank(rows) == partition.count
+
+
+def _predicted_bad_z(irrep_set):
+    degrees = [r.degree for r in irrep_set.irreps]
+    return Fraction(irrep_set.group.order * (1 + sum(m - 1 for m in degrees)), sum(degrees))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_center_basis_rejects_exceptional_common_z(name):
+    irrep_set = catalog_irreps(name)
+    z = _predicted_bad_z(irrep_set)
+    ks = [z] * len(irrep_set.irreps)
+    assert all(choose_k(r, z) == z for r in irrep_set.irreps)  # each point alone is fine
+    assert not _full_rank_at(irrep_set, ks)
+    with pytest.raises(BadK):
+        center_basis(irrep_set, {r.label: z for r in irrep_set.irreps})
+
+
+POINTS = st.sampled_from([Fraction(v) for v in (-1, 0, 1, 2, 3, 4, 6, 8)]
+                         + [Fraction(5, 2), Fraction(8, 3), Fraction(-7, 3)])
+
+
+@given(st.sampled_from(("C3", "V4", "S3", "D4", "Q8", "A4")), st.data())
+@settings(max_examples=80, deadline=None)
+def test_center_basis_raises_exactly_when_rank_fails(name, data):
+    irrep_set = catalog_irreps(name)
+    irreps = irrep_set.irreps
+    ks = [data.draw(POINTS) for _ in irreps]
+    if data.draw(st.booleans()):
+        # solve for the last point so that the set-level condition is hit
+        order, degrees = irrep_set.group.order, [r.degree for r in irreps]
+        target = order * (1 + sum(m - 1 for m in degrees))
+        ks[-1] = Fraction(target - sum(k * m for k, m in zip(ks, degrees)) + ks[-1] * degrees[-1],
+                          degrees[-1])
+    try:
+        _, report = center_basis(irrep_set, {r.label: k for r, k in zip(irreps, ks)})
+    except BadK:
+        assert not _full_rank_at(irrep_set, ks)
+    else:
+        assert report.ok and _full_rank_at(irrep_set, ks)
 
 
 def test_character_basis_c2():

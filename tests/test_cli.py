@@ -152,6 +152,35 @@ def test_malformed_irrep_file_exits_3(tmp_path, capsys):
     assert exc.value.code == 3
 
 
+def _bare_number_scalar():
+    data = irrep_to_dict(catalog_irreps("S3").by_label("std"))
+    data["matrices"][1][0][0] = 1
+    return data
+
+
+@pytest.mark.parametrize("flag, content, code, message", [
+    ("--group-file", [1, 2], 2, "cannot load group file: a group is an object"),
+    ("--group-file", {"name": "C2", "order": 2, "elements": ["e", "a"], "table": [1, 2]}, 2,
+     "cannot load group file: field 'table' must be a list of rows of integers"),
+    ("--group-file", {"name": "C1", "order": "1", "elements": ["e"], "table": [[0]]}, 2,
+     "cannot load group file: field 'order' must be an integer"),
+    ("--irrep-file", _bare_number_scalar(), 3, "cannot load irrep file: a scalar is an object"),
+    ("--irrep-file", "std", 3, "cannot load irrep file: an irrep is an object"),
+], ids=["top-level-list", "flat-table", "string-order", "bare-number-scalar", "top-level-string"])
+def test_malformed_file_shape_exits_cleanly(tmp_path, capsys, flag, content, code, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    source = [flag, str(path)]
+    if flag == "--group-file":
+        source += ["--irrep-file", str(path)]
+    else:
+        source = ["--group", "S3"] + source
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", *source, "--checks", "closed-form")
+    assert exc.value.code == code
+    assert message in capsys.readouterr().err
+
+
 def test_group_file_without_irrep_file_exits_2(tmp_path, capsys):
     group_path = tmp_path / "s3.json"
     group_path.write_text(json.dumps(group_to_dict(catalog_group("S3"))))
@@ -182,11 +211,16 @@ def _wrong_order(data):
     data["order"] = 7
 
 
+def _flat_rows(data):
+    data["table"] = [row[0] for row in data["table"]]
+
+
 @pytest.mark.parametrize("edit, limit, message", [
     (None, "5", "error: group order 6 exceeds limit 5"),
     (_not_latin, "5", "error: group order 6 exceeds limit 5"),
     (_wrong_order, "10000", "declared order 7 but table has 6"),
-], ids=["over-limit-group", "over-limit-non-group", "wrong-declared-order"])
+    (_flat_rows, "5", "error: group order 6 exceeds limit 5"),
+], ids=["over-limit-group", "over-limit-non-group", "wrong-declared-order", "over-limit-flat-rows"])
 def test_group_file_refused_before_validation(tmp_path, capsys, monkeypatch, edit, limit, message):
     monkeypatch.setattr(groups, "build_group_from_table", _no_build)
     monkeypatch.setenv("CAPELLI_LAB_MAX_ORDER", limit)

@@ -140,6 +140,15 @@ def test_serialization_rejects_wrong_length():
         Cyclo.from_dict({"conductor": 4, "coeffs": ["1"]})
 
 
+@pytest.mark.parametrize("data", [
+    1, "1", [1], {"conductor": "4", "coeffs": ["1", "0"]}, {"conductor": 4, "coeffs": "10"},
+    {"conductor": 4, "coeffs": [1.5, 0]}, {"conductor": 4, "coeffs": [None, 0]},
+])
+def test_deserialization_rejects_wrong_shape(data):
+    with pytest.raises(ValueError):
+        Cyclo.from_dict(data)
+
+
 # -- property tests -------------------------------------------------------------
 
 CONDUCTORS = (1, 3, 4, 5, 6, 8, 12)

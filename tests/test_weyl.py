@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capelli_lab import weyl
 from capelli_lab.catalog import catalog_irreps, catalog_names
+from capelli_lab.cli import CHECKS
 from capelli_lab.cyclo import Cyclo, cyclo_degree
+from capelli_lab.irreps import Irrep, IrrepSet
 from capelli_lab.ncdet import SizeLimit, coldet
 from capelli_lab.weyl import (
+    GENERIC_SIZE_LIMIT,
     ContextMismatch,
     WeylContext,
     WeylOp,
@@ -17,11 +21,12 @@ from capelli_lab.weyl import (
     build_rep,
     capelli_zpoly,
     commutator,
+    transpose_product,
     verify_capelli,
     verify_capelli_properties,
-    verify_capelli_rep,
     verify_det_equalities,
     verify_pi_relations,
+    verify_rep_identity,
     verify_rep_relations,
 )
 from helpers import act
@@ -31,6 +36,13 @@ ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
 def one_var_ctx(alpha=Fraction(1)):
     return WeylContext(("1",), Fraction(alpha))
+
+
+def rep_matrices(irrep):
+    """X, D and Pi of an irrep, for the direct route the tests keep as
+    the oracle of the derived one."""
+    ctx, xm, dm = build_rep(irrep)
+    return xm, dm, transpose_product(ctx, xm, dm)
 
 
 def test_d_times_x_creates_commutator_term():
@@ -99,16 +111,16 @@ def test_build_generic_size_limit():
 
 def test_build_rep_trivial_and_sign():
     c2 = catalog_irreps("C2")
-    ctx, xm, dm, _ = build_rep(c2.by_label("triv"))
+    ctx, xm, dm = build_rep(c2.by_label("triv"))
     assert xm[0][0] == WeylOp.x(ctx, 0) + WeylOp.x(ctx, 1)
-    ctx2, xm2, dm2, _ = build_rep(c2.by_label("chi1"))
+    ctx2, xm2, dm2 = build_rep(c2.by_label("chi1"))
     assert xm2[0][0] == WeylOp.x(ctx2, 0) - WeylOp.x(ctx2, 1)
     assert dm2[0][0] == WeylOp.d(ctx2, 0) - WeylOp.d(ctx2, 1)
 
 
 def test_build_rep_standard_uses_conjugated_entries():
     std = catalog_irreps("S3").by_label("std")
-    ctx, xm, dm, _ = build_rep(std)
+    ctx, xm, dm = build_rep(std)
     for g in range(std.group.order):
         for i in range(2):
             for j in range(2):
@@ -122,7 +134,7 @@ def test_build_rep_standard_uses_conjugated_entries():
 def test_rep_relations_trivial_irrep_gives_group_order():
     c4 = catalog_irreps("C4")
     triv = c4.by_label("triv")
-    ctx, xm, dm, _ = build_rep(triv)
+    ctx, xm, dm = build_rep(triv)
     assert commutator(dm[0][0], xm[0][0]) == WeylOp.scalar(ctx, 4)
     assert verify_rep_relations(triv).ok
 
@@ -137,7 +149,7 @@ def test_pi_relations_generic_and_rep():
         _, _, _, pi = build_generic(2, alpha)
         assert verify_pi_relations(pi, alpha).ok
     std = catalog_irreps("S3").by_label("std")
-    _, _, _, pi = build_rep(std)
+    _, _, pi = rep_matrices(std)
     assert verify_pi_relations(pi, std.alpha, "std").ok
 
 
@@ -177,12 +189,78 @@ def test_capelli_identity_generic_sweep(m, alpha):
 
 @pytest.mark.parametrize("name", ("S3", "D4", "Q8"))
 def test_capelli_identity_for_degree_two_irreps(name):
-    assert verify_capelli_rep(catalog_irreps(name).by_label("std")).ok
+    std = catalog_irreps(name).by_label("std")
+    assert verify_capelli(*rep_matrices(std), std.alpha).ok
 
 
-def test_capelli_rep_degree_limit():
-    with pytest.raises(SizeLimit):
-        verify_capelli_rep(catalog_irreps("A4").by_label("std"))
+def _route(irrep):
+    return f"derived from generic m={irrep.degree} alpha={irrep.alpha} by "
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_derived_identities_match_direct_route(name):
+    for irrep in catalog_irreps(name).irreps:
+        derived = {identity: verify_rep_identity(irrep, identity).results
+                   for identity in ("pi-relations", "capelli-identity")}
+        for identity, [result] in derived.items():
+            assert (result.check, result.irrep, result.status) == (identity, irrep.label, "pass")
+            assert result.detail.startswith(_route(irrep)), result.detail
+        # the direct expansion reaches every irrep of degree <= 2 and A4/std,
+        # not S4's degree-3 irreps
+        if irrep.degree > 2 and (name, irrep.label) != ("A4", "std"):
+            continue
+        xm, dm, pi = rep_matrices(irrep)
+        assert verify_pi_relations(pi, irrep.alpha).results[0].status == "pass", irrep.label
+        assert verify_capelli(xm, dm, pi, irrep.alpha).results[0].status == "pass", irrep.label
+
+
+def _scale_d(monkeypatch, entries, factor):
+    build = weyl.build_rep
+
+    def scaled(irrep):
+        ctx, xm, dm = build(irrep)
+        for i, j in entries(irrep.degree):
+            dm[i][j] = dm[i][j].scale(factor)
+        return ctx, xm, dm
+
+    monkeypatch.setattr(weyl, "build_rep", scaled)
+
+
+@pytest.mark.parametrize("label", ("triv", "std"))
+@pytest.mark.parametrize("mutant", ("one-d-entry-x3", "every-d-entry-x2"))
+def test_derived_identities_fail_when_relations_fail(monkeypatch, mutant, label):
+    if mutant == "one-d-entry-x3":
+        _scale_d(monkeypatch, lambda m: [(0, 0)], 3)
+    else:
+        _scale_d(monkeypatch, lambda m: product(range(m), repeat=2), 2)
+    irrep = catalog_irreps("S3").by_label(label)
+    relations = verify_rep_relations(irrep)
+    assert [r.check for r in relations.failures()] == ["d-x-relation"]
+    for identity in ("pi-relations", "capelli-identity"):
+        for given_relations in (None, relations):
+            [derived] = verify_rep_identity(irrep, identity, given_relations).results
+            assert derived.status == "fail"
+            assert derived.detail.startswith("not derived: d-x-relation fails at ")
+    report = CHECKS["weyl-relations"](IrrepSet(irrep.group, (irrep,)))
+    assert {r.check: r.status for r in report.results}["pi-relations"] == "fail"
+    capelli = CHECKS["weyl-capelli"](IrrepSet(irrep.group, (irrep,)))
+    assert [r.status for r in capelli.results if r.irrep == label] == ["fail"]
+
+
+def test_rep_identity_above_generic_size_limit_is_skipped():
+    # S4's permutation representation on 4 points, as triv + std: degree 4
+    std = catalog_irreps("S4").by_label("std")
+    zero, one = Cyclo.zero(std.conductor), Cyclo.one(std.conductor)
+    wide = Irrep("perm", std.group, 4, tuple(
+        ((one, zero, zero, zero),) + tuple((zero,) + row for row in mat) for mat in std.matrices
+    ))
+    irrep_set = IrrepSet(std.group, (wide,))
+    rows = CHECKS["weyl-relations"](irrep_set).results + CHECKS["weyl-capelli"](irrep_set).results
+    skipped = [r for r in rows if r.status == "skipped"]
+    assert [(r.check, r.irrep) for r in skipped] == [("pi-relations", "perm"),
+                                                      ("capelli-identity", "perm")]
+    for r in skipped:
+        assert r.detail == f"generic size 4 exceeds limit {GENERIC_SIZE_LIMIT}"
 
 
 def test_capelli_zpoly_m1():
@@ -203,7 +281,7 @@ def test_capelli_zpoly_at_zero_is_identity_lhs():
 
 def test_capelli_zpoly_rep_degree_two():
     std = catalog_irreps("S3").by_label("std")
-    _, _, _, pi = build_rep(std)
+    _, _, pi = rep_matrices(std)
     cz = capelli_zpoly(pi, std.alpha)
     assert cz.degree == 2
     assert cz.coeffs[2] == WeylOp.one(pi[0][0].context)
@@ -280,7 +358,7 @@ def test_commutator_matches_oracle_on_rep_entries(name):
     for irrep in catalog_irreps(name).irreps:
         if irrep.degree > 2:
             continue
-        _, xm, dm, pi = build_rep(irrep)
+        xm, dm, pi = rep_matrices(irrep)
         if name != "S4":
             pairs = product([e for mat in (xm, dm, pi) for row in mat for e in row], repeat=2)
         else:
