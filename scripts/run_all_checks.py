@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification check on every catalog group and summarize.
 
-This is the long-form experiment: the CLI does the same work per group,
-this script sweeps the whole catalog and prints a status matrix, writing
-the combined JSON report when asked.
+This is the long-form experiment: it runs every check through the same
+`run_checks` as `capelli-lab verify`, over the whole catalog, prints a
+status matrix, and writes the combined JSON report when asked.
 
     python scripts/run_all_checks.py [--out report.json] [--groups S3,Q8]
 """
@@ -15,7 +15,7 @@ import time
 from collections import Counter
 
 from capelli_lab.catalog import catalog_irreps, catalog_names
-from capelli_lab.cli import CHECKS
+from capelli_lab.cli import CHECKS, run_checks
 
 
 def main(argv=None):
@@ -32,26 +32,12 @@ def main(argv=None):
     for name in names:
         irrep_set = catalog_irreps(name)
         row = {}
-        for check, fn in CHECKS.items():
-            t0 = time.monotonic()
-            report = fn(irrep_set)
-            elapsed = time.monotonic() - t0
+        for check, elapsed, rows in run_checks(irrep_set, list(CHECKS)):
             seconds[check] += elapsed
-            statuses = Counter(r.status for r in report.results)
+            statuses = Counter(r["status"] for r in rows)
             grand.update(statuses)
             row[check] = "FAIL" if statuses.get("fail") else "ok"
-            combined.extend(
-                {
-                    "group": name,
-                    "name": check,
-                    "check": r.check,
-                    "irrep": r.irrep,
-                    "status": r.status,
-                    "detail": r.detail,
-                    "runtime_ms": int(elapsed * 1000),
-                }
-                for r in report.results
-            )
+            combined.extend({"group": name, **r} for r in rows)
         flat = " ".join(f"{check}={row[check]}" for check in CHECKS)
         print(f"{name:4} {flat}")
 

@@ -299,7 +299,7 @@ def matrix_attached_double_det(irrep: Irrep, sigma, shift_constant) -> ZPoly:
     return doubledet(matrix)
 
 
-def verify_det_variants(irrep: Irrep, sigmas=None) -> Report:
+def verify_det_variants(irrep: Irrep) -> Report:
     """Row determinant must reproduce the Capelli element exactly.
 
     The double determinant carries diagonal shifts, and there are two ways
@@ -320,9 +320,7 @@ def verify_det_variants(irrep: Irrep, sigmas=None) -> Report:
 
     candidates = [Fraction(1), Fraction(irrep.alpha)]
     labels = ["1", "alpha"]
-    if sigmas is None:
-        sigmas = list(permutations(range(1, m + 1)))
-    for sigma in sigmas:
+    for sigma in permutations(range(1, m + 1)):
         positioned = [
             lbl
             for lbl, c in zip(labels, candidates)

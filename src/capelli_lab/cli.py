@@ -139,6 +139,31 @@ def _is_complete(irrep_set: IrrepSet) -> bool:
     return sum(r.degree * r.degree for r in irrep_set.irreps) == irrep_set.group.order
 
 
+def run_checks(irrep_set: IrrepSet, names):
+    """Run the named checks in order, yielding (name, seconds, rows) for
+    each, with one report row per result.  A check that needs the
+    complete set is skipped on a restriction; a check that raises gives
+    one `fail` row and the run goes on.  CHECKS[name] is looked up at
+    call time."""
+    complete = _is_complete(irrep_set)
+    for name in names:
+        started = time.monotonic()
+        try:
+            if name in NEEDS_COMPLETE_SET and not complete:
+                entries = [CheckResult(name, "set", "skipped",
+                                       "needs the complete irrep set of the group")]
+            else:
+                entries = CHECKS[name](irrep_set).results
+        except Exception as exc:  # a crash inside one check is a failure, not an abort
+            entries = [CheckResult(name, "*", "fail", f"crashed: {exc!r}")]
+        elapsed = time.monotonic() - started
+        yield name, elapsed, [
+            {"name": name, "check": e.check, "irrep": e.irrep, "status": e.status,
+             "detail": e.detail, "runtime_ms": int(elapsed * 1000)}
+            for e in entries
+        ]
+
+
 # -- selector resolution -----------------------------------------------------------
 
 
@@ -226,29 +251,8 @@ def cmd_verify(args) -> int:
     group = resolve_group(config)
     irrep_set = resolve_irreps(config, group)
 
-    results = []
-    complete = _is_complete(irrep_set)
     t_total = time.monotonic()
-    for name in requested:
-        started = time.monotonic()
-        try:
-            if name in NEEDS_COMPLETE_SET and not complete:
-                entries = [CheckResult(name, "set", "skipped",
-                                       "needs the complete irrep set of the group")]
-            else:
-                entries = CHECKS[name](irrep_set).results
-        except Exception as exc:  # a crash inside one check is a failure, not an abort
-            entries = [CheckResult(name, "*", "fail", f"crashed: {exc!r}")]
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-        for entry in entries:
-            results.append({
-                "name": name,
-                "check": entry.check,
-                "irrep": entry.irrep,
-                "status": entry.status,
-                "detail": entry.detail,
-                "runtime_ms": elapsed_ms,
-            })
+    results = [row for _, _, rows in run_checks(irrep_set, requested) for row in rows]
 
     failed = [r for r in results if r["status"] == "fail"]
     payload = {

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraElement
-from .cyclo import Cyclo
+from .cyclo import CONDUCTOR_LIMIT, Cyclo
 from .groups import Group, exponent
 from .reports import Report
 
@@ -327,7 +327,9 @@ def irrep_to_dict(irrep: Irrep) -> dict:
 def irrep_from_dict(group: Group, data) -> Irrep:
     """An irrep of `group` from its JSON form; data of the wrong shape
     raises ValueError naming the field.  The matrix count is compared
-    with the group order before any scalar is read."""
+    with the group order, and the field the entries are promoted to,
+    lcm(conductor, exponent), with CONDUCTOR_LIMIT, before any scalar is
+    read."""
     if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
         raise ValueError("an irrep is an object with a 'matrices' list")
     if data["group"] != group.name:
@@ -338,6 +340,9 @@ def irrep_from_dict(group: Group, data) -> Irrep:
     if not all(isinstance(v, int) and v > 0 for v in (declared, degree)):
         raise ValueError("fields 'conductor' and 'degree' must be positive integers")
     target = math.lcm(declared, exponent(group))
+    if target > CONDUCTOR_LIMIT:
+        raise ValueError(f"field 'conductor': lcm({declared}, group exponent) = {target} "
+                         f"exceeds {CONDUCTOR_LIMIT}")
     matrices = []
     for mat in data["matrices"]:
         if not (isinstance(mat, list) and len(mat) == degree

@@ -21,10 +21,10 @@ from itertools import permutations
 
 
 class SizeLimit(ValueError):
-    """Matrix size beyond the configured enumeration limit."""
+    """Matrix size beyond the enumeration limit."""
 
 
-DEFAULT_SIZE_LIMIT = 6
+SIZE_LIMIT = 6
 
 
 def perm_sign(perm) -> int:
@@ -44,18 +44,18 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def _check_size(matrix, limit):
+def _check_size(matrix):
     m = len(matrix)
-    if m > limit:
-        raise SizeLimit(f"matrix size {m} exceeds limit {limit}")
+    if m > SIZE_LIMIT:
+        raise SizeLimit(f"matrix size {m} exceeds limit {SIZE_LIMIT}")
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix is not square")
     return m
 
 
-def coldet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
+def coldet(matrix):
     """Column determinant: sum of sgn(s) * a[s(1)][1] * a[s(2)][2] * ..."""
-    m = _check_size(matrix, limit)
+    m = _check_size(matrix)
     total = None
     for perm in permutations(range(m)):
         term = matrix[perm[0]][0]
@@ -67,18 +67,18 @@ def coldet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
     return total
 
 
-def rowdet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
+def rowdet(matrix):
     """Row determinant: sum of sgn(s) * a[1][s(1)] * a[2][s(2)] * ...,
     which is the column determinant of the transpose."""
-    m = _check_size(matrix, limit)
-    return coldet([[row[j] for row in matrix] for j in range(m)], limit)
+    m = _check_size(matrix)
+    return coldet([[row[j] for row in matrix] for j in range(m)])
 
 
-def _double_sum(matrix, diagonal_terms, limit):
+def _double_sum(matrix, diagonal_terms):
     # (1/m!) * sum over (s, t) of sgn(st) * prod over i of a[s(i)][t(i)],
     # factors in index order; with diagonal_terms, factor i of a diagonal
     # entry also picks up diagonal_terms[i]
-    m = _check_size(matrix, limit)
+    m = _check_size(matrix)
     if diagonal_terms is not None and len(diagonal_terms) != m:
         raise ValueError("need one diagonal term per factor position")
     total = None
@@ -97,16 +97,16 @@ def _double_sum(matrix, diagonal_terms, limit):
     return Fraction(1, math.factorial(m)) * total
 
 
-def doubledet(matrix, limit: int = DEFAULT_SIZE_LIMIT):
+def doubledet(matrix):
     """Double determinant: (1/m!) * sum over (s, t) of
     sgn(st) * a[s(1)][t(1)] * ... * a[s(m)][t(m)], factors in index order.
 
     Requires the entries to admit exact division by m! (Fraction action).
     """
-    return _double_sum(matrix, None, limit)
+    return _double_sum(matrix, None)
 
 
-def positioned_doubledet(matrix, diagonal_terms, limit: int = DEFAULT_SIZE_LIMIT):
+def positioned_doubledet(matrix, diagonal_terms):
     """Double determinant of a matrix with factor-position diagonal shifts:
     (1/m!) * sum over (s, t) of sgn(st) * prod over i of
     (a[s(i)][t(i)] + delta_{s(i), t(i)} * diagonal_terms[i]).
@@ -117,7 +117,7 @@ def positioned_doubledet(matrix, diagonal_terms, limit: int = DEFAULT_SIZE_LIMIT
     entry wanders through every factor position, so the two readings
     genuinely differ; this is the per-position one.
     """
-    return _double_sum(matrix, diagonal_terms, limit)
+    return _double_sum(matrix, diagonal_terms)
 
 
 # -- diagonal shift patterns ------------------------------------------------

@@ -1,8 +1,11 @@
+import importlib.util
 import json
+import time
+from pathlib import Path
 
 import pytest
 
-from capelli_lab import groups
+from capelli_lab import cli, groups
 from capelli_lab.catalog import catalog_group, catalog_irreps
 from capelli_lab.cli import CHECKS, main
 from capelli_lab.groups import group_to_dict
@@ -242,3 +245,63 @@ def test_verify_text_output_is_sorted_and_deterministic(capsys):
     assert code1 == code2 == 0
     # identical up to wall-clock timings on the summary line
     assert out1.splitlines()[:-1] == out2.splitlines()[:-1]
+
+
+def _s3_std_with(edit):
+    data = irrep_to_dict(catalog_irreps("S3").by_label("std"))
+    edit(data)
+    return data
+
+
+def _scalar(value):
+    return lambda data: data["matrices"][1][0].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_scalar({"conductor": 30030, "coeffs": ["1"]}), "'conductor': 30030 is not in 1..1000"),
+    (lambda data: data.__setitem__("conductor", 99991), "'conductor': lcm(99991, group exponent)"),
+    (_scalar({"conductor": 3, "coeffs": ["1/0", "0"]}), "field 'coeffs'"),
+    (_scalar({"conductor": 3, "coeffs": ["1e1000000", "0"]}), "field 'coeffs'"),
+], ids=["scalar-conductor-30030", "declared-conductor-99991", "zero-denominator", "exponent"])
+def test_unbounded_scalar_input_refused_quickly(tmp_path, capsys, edit, message):
+    path = tmp_path / "irrep.json"
+    path.write_text(json.dumps(_s3_std_with(edit)))
+    started = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--group", "S3", "--irrep-file", str(path), "--checks", "closed-form")
+    assert time.monotonic() - started < 1
+    assert exc.value.code == 3
+    assert message in capsys.readouterr().err
+
+
+def _crash(irrep_set):
+    raise RuntimeError("boom")
+
+
+def _load_sweep():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_all_checks.py"
+    spec = importlib.util.spec_from_file_location("run_all_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_raising_check_is_a_fail_row_in_verify_and_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(CHECKS, "closed-form", _crash)
+    out = tmp_path / "verify.json"
+    code, _, _ = run(capsys, "verify", "--group", "C2", "--checks", "closed-form,conj-inv",
+                     "--format", "json", "--out", str(out))
+    assert code == 1
+    rows = json.loads(out.read_text())["results"]
+    assert [(r["name"], r["status"], r["detail"]) for r in rows if r["name"] == "closed-form"] == [
+        ("closed-form", "fail", "crashed: RuntimeError('boom')")]
+    assert {r["status"] for r in rows if r["name"] == "conj-inv"} == {"pass"}
+
+    monkeypatch.setattr(cli, "CHECKS", {"closed-form": _crash, "conj-inv": CHECKS["conj-inv"]})
+    sweep_out = tmp_path / "sweep.json"
+    assert _load_sweep().main(["--groups", "C1,C2", "--out", str(sweep_out)]) == 1
+    text = capsys.readouterr().out
+    assert "C1   closed-form=FAIL conj-inv=ok" in text and "C2   closed-form=FAIL conj-inv=ok" in text
+    swept = json.loads(sweep_out.read_text())["results"]
+    assert [(r["group"], r["status"]) for r in swept if r["name"] == "closed-form"] == [
+        ("C1", "fail"), ("C2", "fail")]

@@ -143,10 +143,20 @@ def test_serialization_rejects_wrong_length():
 @pytest.mark.parametrize("data", [
     1, "1", [1], {"conductor": "4", "coeffs": ["1", "0"]}, {"conductor": 4, "coeffs": "10"},
     {"conductor": 4, "coeffs": [1.5, 0]}, {"conductor": 4, "coeffs": [None, 0]},
+    {"conductor": 4, "coeffs": ["1/0", "0"]}, {"conductor": 4, "coeffs": ["1e1000000", "0"]},
+    {"conductor": 30030, "coeffs": ["1"]}, {"conductor": 0, "coeffs": []},
+    {"conductor": -1, "coeffs": ["1"]}, {"conductor": True, "coeffs": ["1"]},
+    {"conductor": 4, "coeffs": ["0.5", "0"]}, {"conductor": 4, "coeffs": [" 1", "0"]},
+    {"conductor": 4, "coeffs": ["1/-2", "0"]}, {"conductor": 4, "coeffs": [True, "0"]},
 ])
 def test_deserialization_rejects_wrong_shape(data):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'(conductor|coeffs)'"):
         Cyclo.from_dict(data)
+
+
+def test_deserialization_accepts_grammar():
+    data = {"conductor": 3, "coeffs": ["-12/08", "+3"]}
+    assert Cyclo.from_dict(data) == Cyclo(3, [Fraction(-3, 2), 3])
 
 
 # -- property tests -------------------------------------------------------------
@@ -155,8 +165,8 @@ CONDUCTORS = (1, 3, 4, 5, 6, 8, 12)
 
 
 @st.composite
-def cyclos(draw, conductor=None):
-    n = conductor if conductor is not None else draw(st.sampled_from(CONDUCTORS))
+def cyclos(draw, conductor=None, conductors=CONDUCTORS):
+    n = conductor if conductor is not None else draw(st.sampled_from(conductors))
     d = cyclo_degree(n)
     nums = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
     den = draw(st.integers(1, 6))
@@ -179,10 +189,11 @@ def test_field_axioms(triple):
     assert a * b == b * a
 
 
-@given(cyclos())
+@given(cyclos(conductors=CONDUCTORS + (2, 7, 9, 15, 16, 24)))
 def test_multiplicative_inverse(a):
     if a:
         assert a * a.inverse() == 1
+        assert a.inverse().inverse() == a
 
 
 @given(cyclo_triples())

@@ -125,9 +125,11 @@ def test_column_multilinearity_over_scalars():
 
 def test_size_limit():
     matrix = [[Fraction(1)] * 7 for _ in range(7)]
+    for det in (coldet, rowdet, doubledet):
+        with pytest.raises(SizeLimit):
+            det(matrix)
     with pytest.raises(SizeLimit):
-        coldet(matrix)
-    assert coldet([[Fraction(2)] * 2 for _ in range(2)], limit=2) == 0
+        positioned_doubledet(matrix, [Fraction(0)] * 7)
 
 
 def test_shift_patterns():
