@@ -18,7 +18,10 @@ matrix, since the (i, i) entry only ever occurs as factor i), or baked
 into the matrix before the double sum runs.  The positioned reading
 reproduces the Capelli element for every shift permutation with shift
 constant alpha; the matrix reading does so only in degree 1.  Both
-outcomes are measured and reported rather than assumed.
+outcomes are measured and reported rather than assumed.  A shift
+constant c only ever enters as z + c, so each reading is expanded once
+per shift permutation, at c = 0, and both candidates are read off that
+expansion by the exact substitution z -> z + c.
 
 The matrices themselves (the shifted z-matrix, the conjugate P E P^-1 and
 the positioned double determinant) come from the ring-generic builders in
@@ -310,6 +313,14 @@ def verify_det_variants(irrep: Irrep) -> Report:
     against candidate shift constants 1 and alpha, per shift permutation,
     and the outcomes recorded: the positioned reading matches at alpha for
     every permutation and every irrep, the matrix reading only in degree 1.
+
+    Each reading is expanded once per permutation, at c = 0, and the
+    candidates are read off by substitution: P_c(z) = P_0(z + c).  In both
+    readings c enters only through the diagonal terms d_i * 1 - (z + c),
+    every other factor is free of z and c, and z and c are central, so the
+    expansion at c is the expansion at 0 with z + c written for z;
+    `ZPoly.shift` makes that substitution exactly.  The two builders above
+    still take c directly and serve as the oracle for this step.
     """
     report = Report()
     reference = capelli_element(irrep).poly
@@ -318,27 +329,17 @@ def verify_det_variants(irrep: Irrep) -> Report:
     row_variant = rowdet(shifted_matrix(irrep, natural_star(m)))
     report.add("rowdet-variant", irrep.label, row_variant == reference)
 
-    candidates = [Fraction(1), Fraction(irrep.alpha)]
-    labels = ["1", "alpha"]
+    candidates = {"1": Fraction(1), "alpha": Fraction(irrep.alpha)}
+    readings = [("doubledet-positioned", positioned_double_det),
+                ("doubledet-matrix", matrix_attached_double_det)]
     for sigma in permutations(range(1, m + 1)):
-        positioned = [
-            lbl
-            for lbl, c in zip(labels, candidates)
-            if positioned_double_det(irrep, sigma, c) == reference
-        ]
-        report.measure(
-            "doubledet-positioned", f"{irrep.label}#sigma={sigma}",
-            f"matching shifts: {positioned if positioned else 'none'}",
-        )
-        naive = [
-            lbl
-            for lbl, c in zip(labels, candidates)
-            if matrix_attached_double_det(irrep, sigma, c) == reference
-        ]
-        report.measure(
-            "doubledet-matrix", f"{irrep.label}#sigma={sigma}",
-            f"matching shifts: {naive if naive else 'none'}",
-        )
+        for name, expand in readings:
+            at_zero = expand(irrep, sigma, 0)
+            matching = [lbl for lbl, c in candidates.items() if at_zero.shift(c) == reference]
+            report.measure(
+                name, f"{irrep.label}#sigma={sigma}",
+                f"matching shifts: {matching if matching else 'none'}",
+            )
     return report
 
 

@@ -313,11 +313,14 @@ def group_from_dict(data, max_order=DEFAULT_ORDER_LIMIT) -> Group:
         raise ValueError("field 'order' must be an integer")
     if n != data["order"]:
         raise NotAGroup(f"declared order {data['order']} but table has {n}")
+    if not isinstance(data["name"], str):
+        raise ValueError("field 'name' must be a string")
+    elements = data["elements"]
+    if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
+        raise ValueError("field 'elements' must be a list of strings")
     if not all(isinstance(row, list) and {int}.issuperset(map(type, row)) for row in table):
         raise ValueError("field 'table' must be a list of rows of integers")
-    if not isinstance(data["elements"], list):
-        raise ValueError("field 'elements' must be a list")
-    return build_group_from_table(data["name"], data["elements"], table)
+    return build_group_from_table(data["name"], elements, table)
 
 
 def load_group(path, max_order=DEFAULT_ORDER_LIMIT) -> Group:

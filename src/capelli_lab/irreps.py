@@ -332,6 +332,9 @@ def irrep_from_dict(group: Group, data) -> Irrep:
     read."""
     if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
         raise ValueError("an irrep is an object with a 'matrices' list")
+    for field in ("label", "group"):
+        if not isinstance(data.get(field), str):
+            raise ValueError(f"field '{field}' must be a string")
     if data["group"] != group.name:
         raise ValueError(f"irrep file is for group {data['group']!r}, not {group.name!r}")
     if len(data["matrices"]) != group.order:
@@ -351,7 +354,7 @@ def irrep_from_dict(group: Group, data) -> Irrep:
         matrices.append(
             tuple(tuple(Cyclo.from_dict(v).promote(target) for v in row) for row in mat)
         )
-    return Irrep(str(data["label"]), group, degree, tuple(matrices))
+    return Irrep(data["label"], group, degree, tuple(matrices))
 
 
 def load_irrep(path, group: Group) -> Irrep:

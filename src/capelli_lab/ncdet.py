@@ -225,6 +225,19 @@ class ZPoly:
     def map_coeffs(self, fn) -> "ZPoly":
         return ZPoly([fn(c) for c in self.coeffs])
 
+    def shift(self, c) -> "ZPoly":
+        """P(z + c) for a central scalar c, by repeated synthetic division
+        (Taylor shift): pass k rewrites a_j += c * a_(j+1) for j from the
+        top down to k, so only scalar multiples and sums of coefficients
+        are formed, never a ring product."""
+        if not c:
+            return self
+        coeffs = list(self.coeffs)
+        for k in range(len(coeffs) - 1):
+            for j in range(len(coeffs) - 2, k - 1, -1):
+                coeffs[j] = coeffs[j] + c * coeffs[j + 1]
+        return ZPoly(coeffs)
+
     def __call__(self, value):
         """Evaluate at a central scalar value."""
         if not self.coeffs:

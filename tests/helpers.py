@@ -8,6 +8,7 @@ evaluator.  Tests compare package output against these.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 
@@ -69,6 +70,33 @@ def reduce_mod(poly, modulus):
     _, rem = poly_divmod(list(poly), list(modulus))
     rem = list(rem) + [Fraction(0)] * (len(modulus) - 1 - len(rem))
     return [Fraction(v) for v in rem[: len(modulus) - 1]]
+
+
+def _divmod_monic(num, den):
+    # den monic; exact long division over the integers
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * max(len(num) - dd, 1)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k]
+        if c:
+            quot[k - dd] = c
+            for j, dj in enumerate(den):
+                num[k - dd + j] -= c * dj
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n):
+    """Phi_n as x^n - 1 divided by Phi_d for each proper divisor d in turn."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = _divmod_monic(num, cyclotomic_by_division(d))
+            assert rem == [0]
+    return tuple(num)
 
 
 def zeta_power_coeffs(conductor, power, phi):

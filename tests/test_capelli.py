@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -364,6 +365,24 @@ def test_positioned_double_det_matches_capelli_at_alpha():
         assert positioned_double_det(irrep, sigma, Fraction(1)) != capelli_element(irrep).poly
         if m >= 2:
             assert matrix_attached_double_det(irrep, sigma, irrep.alpha) != capelli_element(irrep).poly
+
+
+def _shift_oracle_irreps():
+    # every catalog irrep of degree <= 2, plus the two of degree 3 named below
+    for name in catalog_names():
+        for irrep in catalog_irreps(name).irreps:
+            if irrep.degree <= 2 or (name, irrep.label) in (("A4", "std"), ("S4", "std")):
+                yield pytest.param(irrep, id=f"{name}/{irrep.label}")
+
+
+@pytest.mark.parametrize("irrep", _shift_oracle_irreps())
+def test_double_dets_at_zero_shifted_match_direct_expansion(irrep):
+    # verify_det_variants reads both candidates off the c = 0 expansion
+    for sigma in permutations(range(1, irrep.degree + 1)):
+        for expand in (positioned_double_det, matrix_attached_double_det):
+            at_zero = expand(irrep, sigma, 0)
+            for c in (Fraction(1), Fraction(irrep.alpha)):
+                assert at_zero.shift(c) == expand(irrep, sigma, c), (expand.__name__, sigma, c)
 
 
 # -- verifiers must be able to fail ---------------------------------------------------------

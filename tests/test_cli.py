@@ -161,6 +161,12 @@ def _bare_number_scalar():
     return data
 
 
+def _irrep_with(field, value):
+    data = irrep_to_dict(catalog_irreps("S3").by_label("std"))
+    data[field] = value
+    return data
+
+
 @pytest.mark.parametrize("flag, content, code, message", [
     ("--group-file", [1, 2], 2, "cannot load group file: a group is an object"),
     ("--group-file", {"name": "C2", "order": 2, "elements": ["e", "a"], "table": [1, 2]}, 2,
@@ -169,7 +175,18 @@ def _bare_number_scalar():
      "cannot load group file: field 'order' must be an integer"),
     ("--irrep-file", _bare_number_scalar(), 3, "cannot load irrep file: a scalar is an object"),
     ("--irrep-file", "std", 3, "cannot load irrep file: an irrep is an object"),
-], ids=["top-level-list", "flat-table", "string-order", "bare-number-scalar", "top-level-string"])
+    ("--group-file", {"name": {"x": [1]}, "order": 1, "elements": ["e"], "table": [[0]]}, 2,
+     "cannot load group file: field 'name' must be a string"),
+    ("--group-file", {"name": "C1", "order": 1, "elements": [None], "table": [[0]]}, 2,
+     "cannot load group file: field 'elements' must be a list of strings"),
+    ("--group-file", {"name": "C1", "order": 1, "elements": [["e"]], "table": [[0]]}, 2,
+     "cannot load group file: field 'elements' must be a list of strings"),
+    ("--irrep-file", _irrep_with("label", ["std"]), 3,
+     "cannot load irrep file: field 'label' must be a string"),
+    ("--irrep-file", _irrep_with("group", {"x": [1]}), 3,
+     "cannot load irrep file: field 'group' must be a string"),
+], ids=["top-level-list", "flat-table", "string-order", "bare-number-scalar", "top-level-string",
+        "object-name", "null-element-name", "list-element-name", "list-label", "object-group"])
 def test_malformed_file_shape_exits_cleanly(tmp_path, capsys, flag, content, code, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
@@ -305,3 +322,27 @@ def test_raising_check_is_a_fail_row_in_verify_and_sweep(tmp_path, capsys, monke
     swept = json.loads(sweep_out.read_text())["results"]
     assert [(r["group"], r["status"]) for r in swept if r["name"] == "closed-form"] == [
         ("C1", "fail"), ("C2", "fail")]
+
+
+def test_sweep_expect_names_the_first_differing_row(tmp_path, capsys):
+    sweep = _load_sweep()
+    saved = tmp_path / "saved.json"
+    assert sweep.main(["--groups", "C2,S3", "--out", str(saved)]) == 0
+    capsys.readouterr()
+    assert sweep.main(["--groups", "C2,S3", "--expect", str(saved)]) == 0
+    assert "rows identical to" in capsys.readouterr().out
+
+    data = json.loads(saved.read_text())
+    rows = data["results"]
+    for row in rows:
+        row["runtime_ms"] += 1  # not part of the comparison
+    index = next(i for i, r in enumerate(rows) if (r["group"], r["name"]) == ("S3", "det-variants"))
+    rows[index]["detail"] = "matching shifts: none"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    assert sweep.main(["--groups", "C2,S3", "--expect", str(edited)]) == 1
+    assert f"row {index}: got ('S3', 'det-variants'" in capsys.readouterr().out
+
+    assert sweep.first_difference(rows[:3], rows[:3]) is None
+    assert sweep.first_difference(rows[:3], rows[:4]).startswith("row 3 missing from this run")
+    assert sweep.first_difference(rows[:4], rows[:3]).startswith("row 3 only in this run")

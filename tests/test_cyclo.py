@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from capelli_lab.cyclo import (
     cyclo_degree,
     cyclotomic_polynomial,
 )
-from helpers import poly_divmod, poly_mul, reduce_mod, zeta_power_coeffs
+from helpers import cyclotomic_by_division, poly_divmod, poly_mul, reduce_mod, zeta_power_coeffs
 
 
 def test_cyclotomic_polynomial_first_cases():
@@ -28,6 +29,11 @@ def test_cyclotomic_polynomial_6_against_division_oracle():
     assert rem == [0]
     assert [Fraction(c) for c in cyclotomic_polynomial(6)] == quot
     assert cyclotomic_polynomial(6) == (1, -1, 1)
+
+
+def test_cyclotomic_polynomial_against_divide_out_loop():
+    for n in list(range(1, 301)) + [840, 997, 1000]:
+        assert cyclotomic_polynomial(n) == cyclotomic_by_division(n), n
 
 
 def test_cyclotomic_degrees_are_totients():
@@ -59,6 +65,25 @@ def test_product_reduction_against_oracle():
 def test_inverse_rational():
     two = Cyclo.rational(2, 4)
     assert two.inverse() == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("conductor", [1, 12, 997])
+@pytest.mark.parametrize("value", [
+    Fraction(2), Fraction(-1), Fraction(-7, 3), Fraction(5, 11), Fraction(-1, 997), Fraction(10**30 + 1, 6),
+])
+def test_inverse_of_a_rational_value_is_its_reciprocal(conductor, value):
+    a = Cyclo.rational(value, conductor)
+    inv = a.inverse()
+    assert inv == Cyclo.rational(1 / value, conductor)
+    assert inv.as_rational() == 1 / value
+    assert a * inv == 1
+
+
+def test_inverse_of_a_rational_in_a_large_field_is_fast():
+    Cyclo.rational(1, 997)  # build the field's tables outside the timing
+    started = time.perf_counter()
+    assert Cyclo.rational(2, 997).inverse() == Fraction(1, 2)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_inverse_root_of_unity():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,46 @@ def test_commutative_2x2_against_leibniz(a, b, c, d):
     assert coldet(matrix) == expected
     assert rowdet(matrix) == expected
     assert doubledet(matrix) == expected
+
+
+# -- the Taylor shift P(z) -> P(z + c) ---------------------------------------------
+
+_word_keys = st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+_free_words = st.dictionaries(_word_keys, st.integers(-3, 3).map(Fraction), max_size=3).map(FreeWord)
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_shifts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _shift_by_binomials(coeffs, c):
+    # sum over k of a_k (z + c)^k: the z^j coefficient is
+    # a_j + sum over k > j of binomial(k, j) c^(k - j) a_k
+    out = []
+    for j in range(len(coeffs)):
+        acc = coeffs[j]
+        for k in range(j + 1, len(coeffs)):
+            acc = acc + (math.comb(k, j) * c ** (k - j)) * coeffs[k]
+        out.append(acc)
+    return ZPoly(out)
+
+
+@pytest.mark.parametrize("ring", ["fraction", "free-word"])
+@given(data=st.data(), c=_shifts)
+def test_zpoly_shift_against_binomial_expansion(ring, data, c):
+    coeffs = data.draw(st.lists(_fractions if ring == "fraction" else _free_words, max_size=5))
+    poly = ZPoly(coeffs)
+    shifted = poly.shift(c)
+    assert shifted == _shift_by_binomials(poly.coeffs, c)
+    assert shifted.degree == poly.degree
+    assert shifted.shift(-c) == poly
+    assert poly.shift(0) == poly
+    assert poly.shift(Fraction(0)) == poly
+
+
+def test_zpoly_shift_of_empty_polynomial_and_by_zero():
+    assert ZPoly([]).shift(Fraction(5)) == ZPoly([])
+    assert ZPoly([]).shift(0) == ZPoly([])
+    a, b = words("a", "b")
+    poly = ZPoly([a, b])
+    assert poly.shift(0) == poly
+    # (a + b z) at z + 2 is (a + 2b) + b z, b's factor order untouched
+    assert poly.shift(2) == ZPoly([a + b * 2, b])
