@@ -101,9 +101,11 @@ def cyclo_degree(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # x^k mod Phi_n for 0 <= k <= max(n - 1, 2*(deg - 1)); integer rows
-    # since Phi_n is monic over the integers.
+def power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k holds the power-basis coordinates of zeta_n^k, for
+    0 <= k <= max(n - 1, 2*(phi(n) - 1)): every power a product of two
+    canonical values or a substitution zeta_n -> zeta_n^k needs.  The rows
+    are integer since Phi_n is monic over the integers."""
     phi = cyclotomic_polynomial(n)
     d = cyclo_degree(n)
     top = max(n - 1, 2 * (d - 1))
@@ -123,7 +125,7 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _substitute(nums, k, m):
     # sum of nums[i] * zeta_m^(i*k), reduced by the power table of m
-    rows = _power_table(m)
+    rows = power_table(m)
     out = [0] * len(rows[0])
     for i, c in enumerate(nums):
         if c:
@@ -132,6 +134,12 @@ def _substitute(nums, k, m):
                 if r:
                     out[j] += c * r
     return out
+
+
+def _int_pair(s):
+    # a coefficient string that matched _COEFF, as integers (p, q) with q > 0
+    p, _, q = s.partition("/")
+    return int(p), int(q) if q else 1
 
 
 def _make(conductor, nums, den):
@@ -196,7 +204,7 @@ class Cyclo:
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> "Cyclo":
         """zeta_N^power, reduced into the canonical basis."""
-        row = _power_table(conductor)[power % conductor]
+        row = power_table(conductor)[power % conductor]
         return _make(conductor, list(row), 1)
 
     # -- helpers --------------------------------------------------------
@@ -252,7 +260,7 @@ class Cyclo:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        rows = _power_table(self.conductor)
+        rows = power_table(self.conductor)
         out = conv[:d]
         for k in range(d, 2 * d - 1):
             ck = conv[k]
@@ -353,8 +361,10 @@ class Cyclo:
         """A scalar from its JSON form.  The conductor is checked against
         CONDUCTOR_LIMIT and the coefficient count against phi(N) before any
         coefficient is parsed; a coefficient is an integer or a string of
-        an optional sign, digits and an optional nonzero /denominator.
-        Data of the wrong shape raises ValueError naming the field."""
+        an optional sign, digits and an optional nonzero /denominator,
+        read straight to the integers p and q; the numerators are brought
+        to the lcm of the q's and reduced once.  Data of the wrong shape
+        raises ValueError naming the field."""
         if not (isinstance(data, dict) and type(data.get("conductor")) is int
                 and isinstance(data.get("coeffs"), list)):
             raise ValueError("a scalar is an object with an integer 'conductor' and a 'coeffs' list")
@@ -367,7 +377,9 @@ class Cyclo:
             )
         if not all(type(s) is int or (isinstance(s, str) and _COEFF.fullmatch(s)) for s in raw):
             raise ValueError("field 'coeffs' must hold integers or strings 'p' or 'p/q', q > 0")
-        return Cyclo(n, raw)
+        pairs = [(s, 1) if type(s) is int else _int_pair(s) for s in raw]
+        den = math.lcm(*(q for _, q in pairs))
+        return _make(n, [p * (den // q) for p, q in pairs], den)
 
     def __repr__(self):
         return f"Cyclo({self.conductor}, {self.__str__()!r})"

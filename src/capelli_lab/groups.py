@@ -309,7 +309,7 @@ def group_from_dict(data, max_order=DEFAULT_ORDER_LIMIT) -> Group:
     n = len(table)
     if n > max_order:
         raise ClosureTooLarge(f"group order {n} exceeds limit {max_order}")
-    if not isinstance(data["order"], int):
+    if type(data["order"]) is not int:
         raise ValueError("field 'order' must be an integer")
     if n != data["order"]:
         raise NotAGroup(f"declared order {data['order']} but table has {n}")

@@ -8,6 +8,14 @@ Complete sets are additionally checked for the degree-square sum and
 pairwise character orthogonality.  Nothing is ever repaired: invalid
 input is rejected.
 
+Validation and the character inner product work on the whole group at
+once, in integer coordinates: with D the lcm of the entry denominators,
+entry (i, j) becomes one list over g per power-basis index t < phi(N),
+holding the numerators of D * matrix(g)[i][j].  Every check is then an
+equality of integer lists built by scaling, adding and multiplying
+lists elementwise, with no Cyclo object per element and no gcd
+reduction along the way.
+
 E_matrix builds the matrix of algebra elements whose (i, j) entry is the
 sum over g of matrix(g)[i][j] * g; the Schur product relations these
 satisfy are what every later Capelli computation leans on.
@@ -19,10 +27,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from . import linalg
 from .algebra import AlgebraElement
-from .cyclo import CONDUCTOR_LIMIT, Cyclo
+from .cyclo import CONDUCTOR_LIMIT, ConductorMismatch, Cyclo, power_table
 from .groups import Group, exponent
 from .reports import Report
 
@@ -118,7 +127,7 @@ def irrep_from_generators(group, label, gen_indices, gen_matrices, conductor=Non
 
 
 def validate(irrep: Irrep) -> Report:
-    """Homomorphism, unitarity everywhere, irreducibility.
+    """Identity image, homomorphism, unitarity everywhere, irreducibility.
 
     The homomorphism property is checked as matrix(g*s) == matrix(g) *
     matrix(s) for every g and every s in group.generators.  That is exact:
@@ -126,31 +135,68 @@ def validate(irrep: Irrep) -> Report:
     products, since matrix(a(bc)) = matrix((ab)c) = matrix(ab) matrix(c) =
     matrix(a) matrix(b) matrix(c) = matrix(a) matrix(bc) for b, c in B; it
     contains the generators, so it is the whole group.
+
+    The checks run on the integer coordinate lists of _coordinates, over
+    every g at once (irreducibility through character_inner_product, on
+    the character's lists).  A value of Q(zeta_N) is zero exactly when
+    all its power-basis coordinates are, and multiplying by a
+    fixed value y is a linear map on coordinates whose matrix has integer
+    entries when y does, since each power of zeta_N reduces to an integer
+    row of the power table.  With D the common denominator, matrix(g*s) ==
+    matrix(g) matrix(s) is D * A_ij[g*s] == sum over k of (right
+    multiplication by D*matrix(s)_kj) applied to A_ik[g], an identity of
+    integer lists.  Unitarity is sum over k of A_ik[g] * conj(A_jk[g]) ==
+    D^2 delta_ij, with conjugation the substitution zeta -> zeta^(N-1).
+    For each s in generator order the failing pair reported is the one
+    with the smallest g, and unitarity reports the smallest failing g:
+    the witnesses of the pair-by-pair matrix check.
     """
     report = Report()
     group = irrep.group
-    mats = irrep.matrices
-    n = group.order
+    names = group.element_names
+    n, m, conductor = group.order, irrep.degree, irrep.conductor
+    coords, den = _coordinates(irrep)
+    rows = power_table(conductor)
+    units = range(len(rows[0]))
 
-    ident = linalg.identity_matrix(irrep.degree, irrep.conductor)
-    report.add("identity-image", irrep.label, linalg.mat_eq(mats[group.identity], ident))
+    e = group.identity
+    report.add("identity-image", irrep.label, all(
+        coords[i][j][t][e] == (den if i == j and t == 0 else 0)
+        for i in range(m) for j in range(m) for t in units))
 
     witness = None
     for s in group.generators:
-        for g in range(n):
-            if not linalg.mat_eq(linalg.mat_mul(mats[g], mats[s]), mats[group.mul(g, s)]):
-                witness = (group.element_names[g], group.element_names[s])
-                break
-        if witness:
+        image = [row[s] for row in group.table]  # g -> g*s
+        right = [[_times_matrix([coords[k][j][v][s] for v in units], rows) for j in range(m)]
+                 for k in range(m)]
+        first = n
+        for i in range(m):
+            for j in range(m):
+                acc = [None] * len(units)
+                for k in range(m):
+                    for t, row in enumerate(right[k][j]):
+                        for u, w in enumerate(row):
+                            if w:
+                                acc[t] = _add(acc[t], _scale(coords[i][k][u], w))
+                for t in units:
+                    at_gs = list(map(coords[i][j][t].__getitem__, image))
+                    first = min(first, _first_difference(acc[t], _scale(at_gs, den)))
+        if first < n:
+            witness = (names[first], names[s])
             break
     report.add("homomorphism", irrep.label, witness is None,
                f"fails at pair {witness}" if witness else "")
 
-    witness = None
-    for g in range(n):
-        if not linalg.mat_eq(linalg.mat_mul(mats[g], linalg.mat_conj_transpose(mats[g])), ident):
-            witness = group.element_names[g]
-            break
+    conj = [[_substitute_lists(coords[j][k], conductor - 1, conductor, rows) for k in range(m)]
+            for j in range(m)]
+    first = n
+    for i in range(m):
+        for j in range(i, m):  # (matrix(g) matrix(g)^*)_ji is the conjugate of the ij entry
+            products = _products([(coords[i][k], conj[j][k]) for k in range(m)], rows)
+            for t, values in enumerate(products):
+                target = den * den if i == j and t == 0 else 0
+                first = min(first, _first_difference(values, [target] * n))
+    witness = names[first] if first < n else None
     report.add("unitarity", irrep.label, witness is None,
                f"fails at {witness}" if witness else "")
 
@@ -159,14 +205,100 @@ def validate(irrep: Irrep) -> Report:
     return report
 
 
+def _coordinates(irrep: Irrep):
+    """(A, D): D is the lcm of the entry denominators, and A[i][j][t] is the
+    list over g of the t-th power-basis coordinate of D * matrix(g)[i][j],
+    an integer.  Entries of more than one conductor raise ConductorMismatch."""
+    conductor = irrep.conductor
+    mats = irrep.matrices
+    entries = [v for mat in mats for row in mat for v in row]
+    if any(v.conductor != conductor for v in entries):
+        raise ConductorMismatch(f"irrep {irrep.label!r} mixes conductors; promote first")
+    den = math.lcm(*{v.den for v in entries})
+    m = irrep.degree
+    return [[_scaled_coordinates([mat[i][j] for mat in mats], den) for j in range(m)]
+            for i in range(m)], den
+
+
+def _scaled_coordinates(values, den):
+    """Per power-basis index t, the list over the values of coordinate t of
+    den * value; den is a common multiple of their denominators."""
+    return [list(col) for col in zip(*(
+        v.num if v.den == den else [c * (den // v.den) for c in v.num] for v in values
+    ))]
+
+
+def _products(pairs, rows):
+    """Coordinate lists of the sum over (x, y) in pairs of x * y, taken
+    element by element: the convolutions of all pairs are summed first and
+    reduced through the power table once."""
+    phi = len(rows[0])
+    conv = [None] * (2 * phi - 1)
+    for xs, ys in pairs:
+        for u, x in enumerate(xs):
+            for v, y in enumerate(ys):
+                conv[u + v] = _add(conv[u + v], list(map(mul, x, y)))
+    out = conv[:phi]
+    for w in range(phi, 2 * phi - 1):
+        for t, r in enumerate(rows[w]):
+            if r:
+                out[t] = _add(out[t], _scale(conv[w], r))
+    return out
+
+
+def _times_matrix(c, rows):
+    """Integer matrix M of x -> x * c on power-basis coordinates:
+    M[t][u] is coordinate t of zeta^u * c."""
+    units = range(len(c))
+    return [[sum(c[v] * rows[u + v][t] for v in units if c[v]) for u in units] for t in units]
+
+
+def _substitute_lists(lists, k, n, rows):
+    """The coordinate lists of zeta_n -> zeta_n^k applied to each value."""
+    out = [None] * len(rows[0])
+    for u, values in enumerate(lists):
+        for t, w in enumerate(rows[u * k % n]):
+            if w:
+                out[t] = _add(out[t], _scale(values, w))
+    return [values if values is not None else [0] * len(lists[0]) for values in out]
+
+
+def _scale(values, c):
+    return values if c == 1 else [c * x for x in values]
+
+
+def _add(acc, values):
+    # None stands for the zero list
+    return values if acc is None else list(map(add, acc, values))
+
+
+def _first_difference(values, expected):
+    """The least index at which `values` (None for all zero) differs from
+    `expected`, or len(expected) when they are equal."""
+    if values is None:
+        values = [0] * len(expected)
+    if values == expected:
+        return len(expected)
+    return next(g for g, (x, y) in enumerate(zip(values, expected)) if x != y)
+
+
 def character_inner_product(a: Irrep, b: Irrep) -> Cyclo:
-    """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g))."""
-    group = a.group
+    """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g)), summed over g on
+    the integer coordinate lists of the two characters."""
     target = math.lcm(a.conductor, b.conductor)
-    acc = Cyclo.zero(target)
-    for g in range(group.order):
-        acc = acc + a.character(g).promote(target) * b.character(g).promote(target).conjugate()
-    return Fraction(1, group.order) * acc
+    rows = power_table(target)
+    xs, dx = _character_coordinates(a, target)
+    ys, dy = (xs, dx) if b is a else _character_coordinates(b, target)
+    conj = _substitute_lists(ys, target - 1, target, rows)
+    total = [sum(values) for values in _products([(xs, conj)], rows)]
+    return Cyclo(target, [Fraction(v, dx * dy * a.group.order) for v in total])
+
+
+def _character_coordinates(irrep: Irrep, conductor: int):
+    """(lists, D) for the character promoted to `conductor`, as in _coordinates."""
+    values = [irrep.character(g).promote(conductor) for g in range(irrep.group.order)]
+    den = math.lcm(*{v.den for v in values})
+    return _scaled_coordinates(values, den), den
 
 
 def equivalent(a: Irrep, b: Irrep) -> bool:
@@ -340,7 +472,7 @@ def irrep_from_dict(group: Group, data) -> Irrep:
     if len(data["matrices"]) != group.order:
         raise ValueError(f"{len(data['matrices'])} matrices for group of order {group.order}")
     declared, degree = data["conductor"], data["degree"]
-    if not all(isinstance(v, int) and v > 0 for v in (declared, degree)):
+    if not all(type(v) is int and v > 0 for v in (declared, degree)):
         raise ValueError("fields 'conductor' and 'degree' must be positive integers")
     target = math.lcm(declared, exponent(group))
     if target > CONDUCTOR_LIMIT:

@@ -33,14 +33,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_conj_transpose(a):
-    return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a[0]))]
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def _gauss_jordan(rows, ncols) -> int:
     """Reduce `rows` in place to reduced row echelon form over the first
     `ncols` columns; returns the number of pivots."""

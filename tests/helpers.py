@@ -3,13 +3,19 @@
 Everything here is deliberately naive and separate from the package
 implementation: permutation composition from scratch, polynomial
 reduction from scratch, convolution straight off the definition, the
-Leibniz determinant, a free-word ring, and a direct differential-action
-evaluator.  Tests compare package output against these.
+Leibniz determinant, a free-word ring, a direct differential-action
+evaluator, and irrep validation by one matrix product per pair.  Tests
+compare package output against these.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+
+from capelli_lab import linalg
+from capelli_lab.cyclo import Cyclo
+from capelli_lab.reports import Report
 
 
 # -- permutations (1-based one-line notation) --------------------------------
@@ -255,3 +261,60 @@ def brute_homomorphism(table, matrices):
         matrix_product(matrices[g], matrices[h]) == matrices[table[g][h]]
         for g in range(n) for h in range(n)
     )
+
+
+# -- irrep validation pair by pair ----------------------------------------------------------
+
+
+def mat_conj_transpose(a):
+    return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a[0]))]
+
+
+def mat_eq(a, b) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def validate_per_pair(irrep):
+    """irreps.validate as one Cyclo matrix product per pair (g, s), s a
+    generator, and per element for unitarity: the same report, witnesses
+    included, reached without the coordinate lists."""
+    report = Report()
+    group = irrep.group
+    mats = irrep.matrices
+    n = group.order
+
+    ident = linalg.identity_matrix(irrep.degree, irrep.conductor)
+    report.add("identity-image", irrep.label, mat_eq(mats[group.identity], ident))
+
+    witness = None
+    for s in group.generators:
+        for g in range(n):
+            if not mat_eq(linalg.mat_mul(mats[g], mats[s]), mats[group.mul(g, s)]):
+                witness = (group.element_names[g], group.element_names[s])
+                break
+        if witness:
+            break
+    report.add("homomorphism", irrep.label, witness is None,
+               f"fails at pair {witness}" if witness else "")
+
+    witness = None
+    for g in range(n):
+        if not mat_eq(linalg.mat_mul(mats[g], mat_conj_transpose(mats[g])), ident):
+            witness = group.element_names[g]
+            break
+    report.add("unitarity", irrep.label, witness is None,
+               f"fails at {witness}" if witness else "")
+
+    norm = character_inner_product_per_element(irrep, irrep)
+    report.add("irreducibility", irrep.label, norm == 1, f"<chi,chi> = {norm}")
+    return report
+
+
+def character_inner_product_per_element(a, b):
+    """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g)), one Cyclo product per g."""
+    group = a.group
+    target = math.lcm(a.conductor, b.conductor)
+    acc = Cyclo.zero(target)
+    for g in range(group.order):
+        acc = acc + a.character(g).promote(target) * b.character(g).promote(target).conjugate()
+    return Fraction(1, group.order) * acc

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 import time
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import pytest
 from capelli_lab import cli, groups
 from capelli_lab.catalog import catalog_group, catalog_irreps
 from capelli_lab.cli import CHECKS, main
-from capelli_lab.groups import group_to_dict
-from capelli_lab.irreps import irrep_to_dict
+from capelli_lab.groups import group_to_dict, load_group
+from capelli_lab.irreps import irrep_to_dict, load_irrep
+from helpers import validate_per_pair
 
 VALID_STATUSES = {"pass", "fail", "measured", "skipped"}
 
@@ -161,8 +163,8 @@ def _bare_number_scalar():
     return data
 
 
-def _irrep_with(field, value):
-    data = irrep_to_dict(catalog_irreps("S3").by_label("std"))
+def _irrep_with(field, value, label="std"):
+    data = irrep_to_dict(catalog_irreps("S3").by_label(label))
     data[field] = value
     return data
 
@@ -185,8 +187,15 @@ def _irrep_with(field, value):
      "cannot load irrep file: field 'label' must be a string"),
     ("--irrep-file", _irrep_with("group", {"x": [1]}), 3,
      "cannot load irrep file: field 'group' must be a string"),
+    ("--irrep-file", _irrep_with("degree", True, "sgn"), 3,
+     "cannot load irrep file: fields 'conductor' and 'degree' must be positive integers"),
+    ("--irrep-file", _irrep_with("conductor", True, "sgn"), 3,
+     "cannot load irrep file: fields 'conductor' and 'degree' must be positive integers"),
+    ("--group-file", {"name": "C1", "order": True, "elements": ["e"], "table": [[0]]}, 2,
+     "cannot load group file: field 'order' must be an integer"),
 ], ids=["top-level-list", "flat-table", "string-order", "bare-number-scalar", "top-level-string",
-        "object-name", "null-element-name", "list-element-name", "list-label", "object-group"])
+        "object-name", "null-element-name", "list-element-name", "list-label", "object-group",
+        "boolean-degree", "boolean-conductor", "boolean-order"])
 def test_malformed_file_shape_exits_cleanly(tmp_path, capsys, flag, content, code, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
@@ -346,3 +355,70 @@ def test_sweep_expect_names_the_first_differing_row(tmp_path, capsys):
     assert sweep.first_difference(rows[:3], rows[:3]) is None
     assert sweep.first_difference(rows[:3], rows[:4]).startswith("row 3 missing from this run")
     assert sweep.first_difference(rows[:4], rows[:3]).startswith("row 3 only in this run")
+
+
+# -- relabelled groups of order 64 through the whole CLI ------------------------------------
+
+
+def _elementary_abelian(k):
+    """C2^k as bit vectors under xor, and the character (-1)^popcount(x & 0b101...)."""
+    n = 1 << k
+    names = ["e" if x == 0 else "x" + format(x, f"0{k}b") for x in range(n)]
+    table = [[a ^ b for b in range(n)] for a in range(n)]
+    return names, table, [(-1) ** bin(x & 0b101010).count("1") for x in range(n)]
+
+
+def _dihedral_times_elementary(k):
+    """D4 x C2^(k-3), (i, j, x) standing for r^i s^j x with s r s = r^-1, and the
+    character r -> -1, s -> 1, x -> (-1)^(x & 1)."""
+    els = [(i, j, x) for i in range(4) for j in range(2) for x in range(1 << (k - 3))]
+    index = {e: n for n, e in enumerate(els)}
+    table = [[index[((i + (p if j == 0 else -p)) % 4, (j + q) % 2, x ^ y)] for p, q, y in els]
+             for i, j, x in els]
+    names = [("e" if (i, j) == (0, 0) else f"r{i}s{j}") + f".{x}" for i, j, x in els]
+    return names, table, [(-1) ** (i + x) for i, j, x in els]
+
+
+def _relabelled_files(tmp_path, family, rng, negate=False):
+    names, table, values = family(6)
+    n = len(table)
+    perm = list(range(n))
+    rng.shuffle(perm)  # element a gets index perm[a]
+    new_table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            new_table[perm[a]][perm[b]] = perm[table[a][b]]
+    new_names, new_values = [None] * n, [None] * n
+    for a in range(n):
+        new_names[perm[a]], new_values[perm[a]] = names[a], values[a]
+    if negate:
+        g = rng.choice([perm[a] for a in range(1, n)])  # not the identity
+        new_values[g] = -new_values[g]
+    group_path, irrep_path = tmp_path / "group.json", tmp_path / "irrep.json"
+    group_path.write_text(json.dumps(
+        {"name": "G", "order": n, "elements": new_names, "table": new_table}))
+    irrep_path.write_text(json.dumps({
+        "label": "chi", "group": "G", "degree": 1, "conductor": 1,
+        "matrices": [[[{"conductor": 1, "coeffs": [str(v)]}]] for v in new_values]}))
+    return group_path, irrep_path
+
+
+@pytest.mark.parametrize("family", [_elementary_abelian, _dihedral_times_elementary],
+                         ids=["C2^6", "D4xC2^3"])
+def test_relabelled_order_64_files_accepted_and_negated_value_refused(tmp_path, capsys, family):
+    rng = random.Random(64)
+    group_path, irrep_path = _relabelled_files(tmp_path, family, rng)
+    argv = ["verify", "--group-file", str(group_path), "--irrep-file", str(irrep_path),
+            "--checks", "closed-form"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "0 failures" in out
+
+    group_path, irrep_path = _relabelled_files(tmp_path, family, rng, negate=True)
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 3
+    group = load_group(group_path)
+    (witness,) = [r.detail for r in validate_per_pair(load_irrep(irrep_path, group)).results
+                  if r.check == "homomorphism"]
+    assert witness.startswith("fails at pair ")
+    assert f"homomorphism (chi): {witness}" in capsys.readouterr().err

@@ -1,8 +1,9 @@
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli_lab.cyclo import (
@@ -182,6 +183,47 @@ def test_deserialization_rejects_wrong_shape(data):
 def test_deserialization_accepts_grammar():
     data = {"conductor": 3, "coeffs": ["-12/08", "+3"]}
     assert Cyclo.from_dict(data) == Cyclo(3, [Fraction(-3, 2), 3])
+
+
+# README grammar of a coefficient string, written out independently of cyclo._COEFF
+GRAMMAR = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+digit_strings = st.one_of(
+    st.text("0123456789", min_size=1, max_size=40),
+    st.integers(4290, 4310).map(lambda k: "7" * k),  # around int's 4300-digit string limit
+)
+coefficients = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(lambda sign, p, zeros, q: f"{sign}{p}/{zeros}{q}" if q else f"{sign}{p}",
+              st.sampled_from(["", "+", "-"]), digit_strings, st.text("0", max_size=3),
+              st.none() | digit_strings),
+    st.sampled_from(["1/007", "007", "-0", "+0/1", "1/0", "1/00", "", " 1", "1.5", "1e3",
+                     "+-1", "1/-2", "1/+2", "1_000", "½", "١"]),
+    st.sampled_from([True, False, None, 1.0]),
+)
+
+
+def _fraction_route(n, raw):
+    # the parse before the integer reader: grammar, then one Fraction per coefficient
+    if not all(type(s) is int or (isinstance(s, str) and GRAMMAR.fullmatch(s)) for s in raw):
+        raise ValueError("field 'coeffs' must hold integers or strings 'p' or 'p/q', q > 0")
+    return Cyclo(n, raw)
+
+
+def _outcome(parse, *args):
+    try:
+        value = parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value.conductor, value.num, value.den
+
+
+@given(st.sampled_from((1, 3, 4, 5, 8, 12)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_parse_matches_fraction_route(n, data):
+    raw = data.draw(st.lists(coefficients, min_size=cyclo_degree(n), max_size=cyclo_degree(n)))
+    got = _outcome(Cyclo.from_dict, {"conductor": n, "coeffs": raw})
+    assert got == _outcome(_fraction_route, n, raw)
 
 
 # -- property tests -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from capelli_lab import linalg
 from capelli_lab.algebra import AlgebraElement, character_element
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
-from capelli_lab.cyclo import Cyclo
+from capelli_lab.cyclo import ConductorMismatch, Cyclo
 from capelli_lab.irreps import (
     E_matrix,
     Irrep,
@@ -17,12 +18,22 @@ from capelli_lab.irreps import (
     equivalent,
     irrep_from_dict,
     irrep_to_dict,
+    make_irrep,
     validate,
     validate_complete,
     verify_E_basis,
     verify_schur_products,
 )
-from helpers import brute_homomorphism, leibniz_det, matrix_product, naive_convolve
+from helpers import (
+    brute_homomorphism,
+    character_inner_product_per_element,
+    leibniz_det,
+    mat_conj_transpose,
+    mat_eq,
+    matrix_product,
+    naive_convolve,
+    validate_per_pair,
+)
 
 
 def test_validate_trivial_everywhere():
@@ -105,6 +116,159 @@ def test_homomorphism_check_on_trivial_group_with_non_identity_image(image):
     mats = (tuple(tuple(Cyclo.rational(v) for v in row) for row in image),)
     assert_homomorphism_verdict_matches_oracle(c1, mats)
     assert not validate(Irrep("odd", c1, len(image), mats)).ok
+
+
+def report_rows(report):
+    return [(r.check, r.irrep, r.status, r.detail) for r in report.results]
+
+
+def assert_matches_per_pair_oracle(irrep, mats):
+    case = Irrep(irrep.label, irrep.group, len(mats[0]), tuple(mats))
+    assert report_rows(validate(case)) == report_rows(validate_per_pair(case))
+
+
+def _with_block(mats, g, edit):
+    block = [list(row) for row in mats[g]]
+    edit(block)
+    return mats[:g] + (tuple(map(tuple, block)),) + mats[g + 1:]
+
+
+def _negate_first_nonzero(block):
+    i, j = next((i, j) for i, row in enumerate(block) for j, v in enumerate(row) if v)
+    block[i][j] = -block[i][j]
+
+
+def _add_one_bottom_left(block):
+    block[-1][0] = block[-1][0] + 1
+
+
+def mutants(irrep):
+    """At each element g: the matrices of g and the next element swapped,
+    the first nonzero entry negated, and the bottom-left entry plus 1."""
+    mats = irrep.matrices
+    n = len(mats)
+    for g in range(n):
+        h = (g + 1) % n
+        swapped = list(mats)
+        swapped[g], swapped[h] = mats[h], mats[g]
+        yield tuple(swapped)
+        yield _with_block(mats, g, _negate_first_nonzero)
+        yield _with_block(mats, g, _add_one_bottom_left)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_validate_matches_per_pair_oracle(name):
+    for irrep in catalog_irreps(name).irreps:
+        assert_matches_per_pair_oracle(irrep, irrep.matrices)
+        for mats in mutants(irrep):
+            assert_matches_per_pair_oracle(irrep, mats)
+
+
+ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+
+
+def _presentations():
+    """(catalog irrep, conductor) for each conductor of ORACLE_CONDUCTORS
+    whose field holds its values: a multiple of its conductor, or 1 when
+    every entry is rational."""
+    out = []
+    for name in catalog_names():
+        for irrep in catalog_irreps(name).irreps:
+            rational = all(v.as_rational() is not None
+                           for mat in irrep.matrices for row in mat for v in row)
+            out.extend((irrep, n) for n in ORACLE_CONDUCTORS
+                       if n % irrep.conductor == 0 or (n == 1 and rational))
+    return out
+
+
+PRESENTATIONS = _presentations()
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def presented_irreps(draw):
+    """A catalog irrep in one of ORACLE_CONDUCTORS, degree >= 2 for half
+    the draws, conjugated by an invertible rational upper-triangular P (not
+    unitary in general, so the entries gain denominators and unitarity
+    fails at some g), then possibly mutated: two matrices swapped, or one
+    entry scaled by a rational."""
+    irrep, n = draw(st.sampled_from(PRESENTATIONS)
+                    | st.sampled_from([(r, n) for r, n in PRESENTATIONS if r.degree >= 2]))
+    m = irrep.degree
+    mats = tuple(
+        tuple(tuple(Cyclo.rational(v.as_rational(), 1) if n == 1 else v.promote(n) for v in row)
+              for row in mat)
+        for mat in irrep.matrices
+    )
+    if draw(st.booleans()):
+        p = [[Cyclo.rational(draw(small_fractions.filter(bool)) if i == j
+                             else draw(small_fractions) if i < j else 0, n)
+              for j in range(m)] for i in range(m)]
+        p_inv = linalg.mat_inverse(p)
+        mats = tuple(tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(p, mat), p_inv)))
+                     for mat in mats)
+    elements = st.integers(0, len(mats) - 1)
+    mutation = draw(st.sampled_from(["none", "swap", "scale"]))
+    if mutation == "swap":
+        g, h = draw(elements), draw(elements)
+        swapped = list(mats)
+        swapped[g], swapped[h] = mats[h], mats[g]
+        mats = tuple(swapped)
+    elif mutation == "scale":
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        factor = draw(small_fractions)
+
+        def scale(block):
+            block[i][j] = block[i][j] * factor
+
+        mats = _with_block(mats, draw(elements), scale)
+    return irrep, mats
+
+
+@given(presented_irreps())
+@settings(max_examples=80, deadline=None)
+def test_validate_matches_per_pair_oracle_across_conductors(case):
+    irrep, mats = case
+    assert_matches_per_pair_oracle(irrep, mats)
+
+
+def test_validate_reports_non_unitary_conjugate_at_first_failing_element():
+    # P = [[1, 1/2], [0, 2]] conjugates S3/std to a homomorphism with
+    # denominators; the first element whose image is not unitary is named
+    std = catalog_irreps("S3").by_label("std")
+    n = std.conductor
+    p = [[Cyclo.rational(1, n), Cyclo.rational(Fraction(1, 2), n)],
+         [Cyclo.zero(n), Cyclo.rational(2, n)]]
+    p_inv = linalg.mat_inverse(p)
+    mats = tuple(tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(p, mat), p_inv)))
+                 for mat in std.matrices)
+    report = validate(Irrep("conj", std.group, 2, mats))
+    first = next(g for g, mat in enumerate(mats)
+                 if not mat_eq(matrix_product(mat, mat_conj_transpose(mat)),
+                               linalg.identity_matrix(2, n)))
+    assert [r.check for r in report.failures()] == ["unitarity"]
+    assert report.failures()[0].detail == f"fails at {std.group.element_names[first]}"
+
+
+def test_validate_refuses_mixed_conductors():
+    std = catalog_irreps("S3").by_label("std")
+    mats = list(std.matrices)
+    mats[1] = tuple(tuple(v.promote(12) for v in row) for row in mats[1])
+    with pytest.raises(ConductorMismatch):
+        validate(Irrep("mixed", std.group, 2, tuple(mats)))
+
+
+def test_character_inner_product_matches_per_element_oracle():
+    # b also in twice its conductor, so that the characters meet in the lcm field
+    for name in catalog_names():
+        irreps = catalog_irreps(name).irreps
+        for a in irreps:
+            for b in irreps:
+                lifted = make_irrep(b.label, b.group, b.degree, b.matrices, 2 * b.conductor)
+                for other in (b, lifted):
+                    got = character_inner_product(a, other)
+                    want = character_inner_product_per_element(a, other)
+                    assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
 
 
 def test_validate_complete_s3():
@@ -348,7 +512,7 @@ def test_rank_matches_leibniz_determinant(matrix):
     if full:
         inv = linalg.mat_inverse(matrix)
         ident = linalg.identity_matrix(3, matrix[0][0].conductor)
-        assert linalg.mat_eq(linalg.mat_mul(matrix, inv), ident)
+        assert mat_eq(linalg.mat_mul(matrix, inv), ident)
     else:
         with pytest.raises(linalg.SingularMatrix):
             linalg.mat_inverse(matrix)
