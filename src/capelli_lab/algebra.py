@@ -103,9 +103,12 @@ class AlgebraElement:
     def scale(self, scalar) -> "AlgebraElement":
         if isinstance(scalar, Cyclo):
             s = scalar.promote(self.conductor) if scalar.conductor != self.conductor else scalar
+        elif scalar == 1:
+            return self
         else:
             s = Cyclo.rational(scalar, self.conductor)
-        return AlgebraElement(self.group, [s * a for a in self.coeffs])
+        # s * 0 is the canonical zero already standing there
+        return AlgebraElement(self.group, [s * a if a else a for a in self.coeffs])
 
     def promote(self, conductor: int) -> "AlgebraElement":
         return AlgebraElement(self.group, [c.promote(conductor) for c in self.coeffs])
@@ -116,9 +119,11 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.group is other.group and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        if self.group is not other.group:
+            return False
+        if self.conductor == other.conductor:
+            return all(a.num == b.num and a.den == b.den for a, b in zip(self.coeffs, other.coeffs))
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     __hash__ = None
 

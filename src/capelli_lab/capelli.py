@@ -146,15 +146,13 @@ def verify_closed_form(irrep: Irrep) -> Report:
     closed = u_product(irrep, irrep.degree).map_coeffs(lambda c: c * one) + u_product(
         irrep, irrep.degree - 1
     ).map_coeffs(lambda c: c * chi)
-    report.add(
-        "closed-form", irrep.label, direct == closed,
-        "" if direct == closed else f"det: {render_capelli(direct)} vs closed: {render_capelli(closed)}",
-    )
+    ok = direct == closed
+    report.add("closed-form", irrep.label, ok,
+               "" if ok else f"det: {render_capelli(direct)} vs closed: {render_capelli(closed)}")
     subsets = capelli_via_subsets(irrep).poly
-    report.add(
-        "subset-expansion", irrep.label, direct == subsets,
-        "" if direct == subsets else f"det: {render_capelli(direct)} vs subsets: {render_capelli(subsets)}",
-    )
+    ok = direct == subsets
+    report.add("subset-expansion", irrep.label, ok,
+               "" if ok else f"det: {render_capelli(direct)} vs subsets: {render_capelli(subsets)}")
     return report
 
 

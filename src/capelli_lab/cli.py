@@ -3,7 +3,8 @@ verification suites, emit JSON reports.
 
 Exit codes: 0 all requested checks free of failures (measured outcomes
 count as non-failures), 1 some check failed, 2 unresolved group/irrep
-selector or unknown check name, 3 invalid user-supplied irrep.
+selector, unknown check name or malformed --at, 3 invalid user-supplied
+irrep.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .capelli import (
     verify_det_variants,
 )
 from .catalog import catalog_group, catalog_irreps, catalog_names, catalog_summary
+from .cyclo import Cyclo
 from .groups import DEFAULT_ORDER_LIMIT, ClosureTooLarge, Group, load_group
 from .irreps import IrrepSet, load_irrep, validate, verify_E_basis, verify_schur_products
 from .reports import CheckResult, Report
@@ -224,13 +226,19 @@ def cmd_list(args) -> int:
 
 def cmd_capelli(args) -> int:
     config = _config_from(args)
+    try:  # the scalar-file coefficient grammar, whose integer parse bounds the digits
+        at = None if config.at is None else Cyclo.from_dict(
+            {"conductor": 1, "coeffs": [config.at]}).as_rational()
+    except ValueError:
+        print(f"error: --at {config.at!r} is not a rational 'p' or 'p/q' with q > 0", file=sys.stderr)
+        sys.exit(2)
     group = resolve_group(config)
     irrep_set = resolve_irreps(config, group)
     payload = []
     for irrep in irrep_set.irreps:
         element = capelli_element(irrep)
         if config.at is not None:
-            value = element.poly(Fraction(config.at))
+            value = element.poly(at)
             rendered = str(value)
             payload.append({"irrep": irrep.label, "at": str(config.at), "value": rendered})
         else:
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser("capelli", help="print Capelli elements")
     p_cap.add_argument("--group", required=True, help="catalog group name")
     p_cap.add_argument("--irrep", help="irrep label (default: all irreps of the group)")
-    p_cap.add_argument("--at", help="evaluate at z = K (rational, e.g. -1 or 3/2)")
+    p_cap.add_argument("--at", help="evaluate at z = K: an integer or p/q, q > 0 (e.g. -1 or 3/2)")
     p_cap.add_argument("--format", choices=("text", "json"), default="text")
     p_cap.add_argument("--out", help="write JSON payload to this path")
 

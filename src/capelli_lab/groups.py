@@ -1,12 +1,15 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are dense indices 0..n-1; the Cayley table is the whole group.
-Construction always validates (Latin-square rows and columns, identity,
-inverses, and associativity by Light's test over a greedy generating set
-S, which is exact and costs O(n^2 |S|) with |S| <= log2(n) + 1 for a
-group), so everything downstream may assume it is holding an actual
-group.  The generating set is kept on the group, so that irrep validation
-can check the homomorphism property over generators only.  Loading a
+Construction always validates, so everything downstream may assume it is
+holding an actual group: entries must be ints (one type test each, so
+neither True nor 1.0 nor "1" passes), each row and column is put into
+one set that decides its shape, range and whether it is a permutation,
+then identity, inverses, and associativity by Light's test over a greedy
+generating set S, which is exact and costs O(n^2 |S|) with
+|S| <= log2(n) + 1 for a group; that test is the remaining cost.  The
+generating set is kept on the group, so that irrep validation can check
+the homomorphism property over generators only.  Loading a
 table from JSON compares its size to the order limit before any of this
 validation runs.
 """
@@ -81,25 +84,28 @@ class ClassPartition:
 
 
 def build_group_from_table(name, element_names, table) -> Group:
+    if not all(isinstance(row, (list, tuple)) and {int}.issuperset(map(type, row)) for row in table):
+        raise ValueError("field 'table' must be a list of rows of integers")
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
     element_names = tuple(str(x) for x in element_names)
     if len(element_names) != n:
         raise NotAGroup(f"{len(element_names)} names for {n} elements")
-    rows = []
+    table = tuple(map(tuple, table))
+    # one set per row decides its range and, with every row in range, whether
+    # it is a permutation: a line of n entries in 0..n-1 is one exactly when
+    # they are distinct
+    span = set(range(n))
+    row_distinct = []
     for row in table:
-        row = tuple(map(int, row))
-        if len(row) != n or min(row) < 0 or max(row) >= n:
+        entries = set(row)
+        if len(row) != n or not entries <= span:
             raise NotAGroup("table is not n x n over 0..n-1")
-        rows.append(row)
-    table = tuple(rows)
-
-    # with every entry in 0..n-1, a line of n entries is a permutation
-    # exactly when it has n distinct entries
+        row_distinct.append(len(entries) == n)
     columns = tuple(zip(*table))
     for i in range(n):
-        if len(set(table[i])) != n:
+        if not row_distinct[i]:
             raise NotAGroup("row is not a permutation", witness=i)
         if len(set(columns[i])) != n:
             raise NotAGroup("column is not a permutation", witness=i)
@@ -318,8 +324,6 @@ def group_from_dict(data, max_order=DEFAULT_ORDER_LIMIT) -> Group:
     elements = data["elements"]
     if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
         raise ValueError("field 'elements' must be a list of strings")
-    if not all(isinstance(row, list) and {int}.issuperset(map(type, row)) for row in table):
-        raise ValueError("field 'table' must be a list of rows of integers")
     return build_group_from_table(data["name"], elements, table)
 
 

@@ -16,6 +16,9 @@ equality of integer lists built by scaling, adding and multiplying
 lists elementwise, with no Cyclo object per element and no gcd
 reduction along the way.
 
+Loading reads each distinct serialized scalar once per file and shares
+the resulting (immutable) Cyclo among the entries that repeat it.
+
 E_matrix builds the matrix of algebra elements whose (i, j) entry is the
 sum over g of matrix(g)[i][j] * g; the Schur product relations these
 satisfy are what every later Capelli computation leans on.
@@ -461,7 +464,7 @@ def irrep_from_dict(group: Group, data) -> Irrep:
     raises ValueError naming the field.  The matrix count is compared
     with the group order, and the field the entries are promoted to,
     lcm(conductor, exponent), with CONDUCTOR_LIMIT, before any scalar is
-    read."""
+    read.  Each distinct well-typed scalar is parsed and promoted once."""
     if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
         raise ValueError("an irrep is an object with a 'matrices' list")
     for field in ("label", "group"):
@@ -478,14 +481,26 @@ def irrep_from_dict(group: Group, data) -> Irrep:
     if target > CONDUCTOR_LIMIT:
         raise ValueError(f"field 'conductor': lcm({declared}, group exponent) = {target} "
                          f"exceeds {CONDUCTOR_LIMIT}")
+    parsed = {}
+
+    def scalar(v):
+        # a Cyclo is immutable, so a repeated scalar shares one parsed value;
+        # only exact JSON ints and strings make a key (1, 1.0 and true hash alike)
+        coeffs = v.get("coeffs") if isinstance(v, dict) else None
+        if not (isinstance(coeffs, list) and type(v.get("conductor")) is int
+                and {int, str}.issuperset(map(type, coeffs))):
+            return Cyclo.from_dict(v).promote(target)
+        key = (v["conductor"], *coeffs)
+        if key not in parsed:
+            parsed[key] = Cyclo.from_dict(v).promote(target)
+        return parsed[key]
+
     matrices = []
     for mat in data["matrices"]:
         if not (isinstance(mat, list) and len(mat) == degree
                 and all(isinstance(row, list) and len(row) == degree for row in mat)):
             raise ValueError("matrix block is not degree x degree")
-        matrices.append(
-            tuple(tuple(Cyclo.from_dict(v).promote(target) for v in row) for row in mat)
-        )
+        matrices.append(tuple(tuple(map(scalar, row)) for row in mat))
     return Irrep(data["label"], group, degree, tuple(matrices))
 
 

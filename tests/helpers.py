@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive and separate from the package
 implementation: permutation composition from scratch, polynomial
-reduction from scratch, convolution straight off the definition, the
-Leibniz determinant, a free-word ring, a direct differential-action
-evaluator, and irrep validation by one matrix product per pair.  Tests
-compare package output against these.
+reduction from scratch, group-table line checks as first written,
+convolution straight off the definition, the Leibniz determinant, a
+free-word ring, a direct differential-action evaluator, and irrep
+validation by one matrix product per pair.  Tests compare package output
+against these.
 """
 
 import math
@@ -15,6 +16,7 @@ from itertools import permutations
 
 from capelli_lab import linalg
 from capelli_lab.cyclo import Cyclo
+from capelli_lab.groups import NotAGroup
 from capelli_lab.reports import Report
 
 
@@ -237,6 +239,32 @@ def brute_associative(table):
         table[table[a][b]][c] == table[a][table[b][c]]
         for a in range(n) for b in range(n) for c in range(n)
     )
+
+
+def table_lines_reference(table, from_file):
+    """The shape, range and Latin-square checks of a group table as they
+    stood before validation moved to one set per row: each entry through
+    int() (after the file route's type check), a min/max range scan per
+    row, then one set per row and per column, row i before column i.
+    Returns the table as tuples or raises what that code raised."""
+    if from_file and not all(isinstance(row, list) and {int}.issuperset(map(type, row))
+                             for row in table):
+        raise ValueError("field 'table' must be a list of rows of integers")
+    n = len(table)
+    rows = []
+    for row in table:
+        row = tuple(map(int, row))
+        if len(row) != n or min(row) < 0 or max(row) >= n:
+            raise NotAGroup("table is not n x n over 0..n-1")
+        rows.append(row)
+    table = tuple(rows)
+    columns = tuple(zip(*table))
+    for i in range(n):
+        if len(set(table[i])) != n:
+            raise NotAGroup("row is not a permutation", witness=i)
+        if len(set(columns[i])) != n:
+            raise NotAGroup("column is not a permutation", witness=i)
+    return table
 
 
 def matrix_product(a, b):

@@ -56,6 +56,25 @@ def test_sign_sum_squares_to_six_times_itself():
     assert direct == 6 * sgn
 
 
+def test_equality_across_conductors_promotes():
+    a = s3_element({"e": 2, "(12)": -3, "(123)": Fraction(1, 2)})
+    lifted = a.promote(12)
+    assert lifted.conductor == 12 and a.conductor == 6
+    assert a == lifted and lifted == a
+    zeta = Cyclo.zeta(12)
+    shifted = AlgebraElement(S3, [lifted.coeffs[0] + zeta, *lifted.coeffs[1:]])
+    assert a != shifted and shifted != a
+    assert AlgebraElement.identity(S3, 1) == AlgebraElement.identity(S3)
+
+
+def test_scaling_by_one_and_zero_entries():
+    a = s3_element({"e": 2, "(12)": -3})
+    assert a.scale(1) is a and a.scale(Fraction(1)) is a
+    assert a.scale(Fraction(1, 2)) == s3_element({"e": 1, "(12)": Fraction(-3, 2)})
+    assert a.scale(Cyclo.one(6)) == a
+    assert 0 * a == AlgebraElement.zero(S3)
+
+
 def test_group_mismatch_rejected():
     with pytest.raises(GroupMismatch):
         AlgebraElement.identity(S3) * AlgebraElement.identity(catalog_group("C4"))

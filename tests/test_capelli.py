@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -27,8 +28,8 @@ from capelli_lab.capelli import (
 )
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
-from capelli_lab.groups import conjugacy_classes
-from capelli_lab.irreps import E_matrix
+from capelli_lab.groups import conjugacy_classes, group_from_dict
+from capelli_lab.irreps import E_matrix, irrep_from_dict
 from capelli_lab.ncdet import ZPoly
 from helpers import naive_convolve
 
@@ -147,6 +148,43 @@ def test_closed_form_every_degree_one_is_trivial_match():
     for name in ("C6", "V4"):
         for irrep in catalog_irreps(name).irreps:
             assert verify_closed_form(irrep).ok
+
+
+def _relabelled_elementary_character(k, seed):
+    """C2^k under xor, relabelled by a seeded permutation, with the character
+    x -> (-1)^popcount(x & 0b1010...) as an irrep over Q."""
+    n = 1 << k
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)  # element x gets index perm[x]
+    table = [[0] * n for _ in range(n)]
+    values = [0] * n
+    for a in range(n):
+        values[perm[a]] = (-1) ** bin(a & 0b10101010).count("1")
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[a ^ b]
+    group = group_from_dict({"name": f"C2^{k}", "order": n,
+                             "elements": [str(x) for x in range(n)], "table": table})
+    return irrep_from_dict(group, {
+        "label": "chi", "group": group.name, "degree": 1, "conductor": 1,
+        "matrices": [[[{"conductor": 1, "coeffs": [v]}]] for v in values]})
+
+
+def test_closed_form_products_do_not_grow_with_the_group(monkeypatch):
+    # a degree-1 closed form scales the mostly zero identity element and
+    # compares whole elements; neither may cost a product per group element
+    counts = []
+    multiply = Cyclo.__mul__
+
+    def counted(self, other):
+        counts[-1] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    for k, seed in ((6, 64), (8, 256)):
+        irrep = _relabelled_elementary_character(k, seed)
+        counts.append(0)
+        assert verify_closed_form(irrep).ok
+    assert counts[0] == counts[1] > 0
 
 
 def test_degree_and_leading_coefficient():

@@ -50,6 +50,22 @@ def test_capelli_evaluated(capsys):
     assert "6*e - (123) - (132)" in out
 
 
+@pytest.mark.parametrize("at", ["foo", "1/0", "1e100000"])
+def test_capelli_at_outside_the_grammar_exits_2(capsys, at):
+    # before the grammar check these raised ValueError, ZeroDivisionError, and
+    # a 100,001-digit integer that str() refused
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", at)
+    assert exc.value.code == 2
+    assert f"error: --at {at!r} is not a rational" in capsys.readouterr().err
+
+
+def test_capelli_at_reads_the_coefficient_grammar(capsys):
+    code, out, _ = run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "3/02")
+    assert code == 0
+    assert "C^std at z=3/02 = -21/4*e + 3/2*(123) + 3/2*(132)" in out
+
+
 def test_capelli_json_payload(capsys):
     code, out, _ = run(capsys, "capelli", "--group", "S3", "--format", "json")
     assert code == 0
@@ -163,6 +179,14 @@ def _bare_number_scalar():
     return data
 
 
+def _later_scalar(first, later):
+    """S3's sign irrep over Q with every entry `first` but the last, `later`."""
+    data = _irrep_with("conductor", 1, "sgn")
+    data["matrices"] = [[[{"conductor": 1, "coeffs": [first]}]] for _ in range(5)]
+    data["matrices"].append([[{"conductor": 1, "coeffs": [later]}]])
+    return data
+
+
 def _irrep_with(field, value, label="std"):
     data = irrep_to_dict(catalog_irreps("S3").by_label(label))
     data[field] = value
@@ -193,9 +217,14 @@ def _irrep_with(field, value, label="std"):
      "cannot load irrep file: fields 'conductor' and 'degree' must be positive integers"),
     ("--group-file", {"name": "C1", "order": True, "elements": ["e"], "table": [[0]]}, 2,
      "cannot load group file: field 'order' must be an integer"),
+    *[("--irrep-file", _later_scalar(first, later), 3,
+       "cannot load irrep file: field 'coeffs' must hold integers or strings")
+      for first in (1, "1") for later in (True, 1.0, "1.0", [1], {})],
 ], ids=["top-level-list", "flat-table", "string-order", "bare-number-scalar", "top-level-string",
         "object-name", "null-element-name", "list-element-name", "list-label", "object-group",
-        "boolean-degree", "boolean-conductor", "boolean-order"])
+        "boolean-degree", "boolean-conductor", "boolean-order",
+        *[f"{first}-then-{later}" for first in ("int", "str")
+          for later in ("true", "float", "float-string", "list", "object")]])
 def test_malformed_file_shape_exits_cleanly(tmp_path, capsys, flag, content, code, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

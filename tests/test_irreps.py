@@ -450,6 +450,19 @@ def test_irrep_json_round_trip():
     assert validate(again).ok
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_irrep_round_trips_entry_for_entry(name):
+    # repeated scalars share one parsed value; each entry must still come
+    # back at the same conductor with the same canonical numerators
+    for irrep in catalog_irreps(name).irreps:
+        data = json.loads(json.dumps(irrep_to_dict(irrep)))
+        again = irrep_from_dict(irrep.group, data)
+        for mat, mat_again in zip(irrep.matrices, again.matrices):
+            for row, row_again in zip(mat, mat_again):
+                assert [(v.conductor, v.num, v.den) for v in row] == [
+                    (v.conductor, v.num, v.den) for v in row_again]
+
+
 def test_irrep_json_accepts_larger_conductor():
     # the same irrep presented over a non-minimal cyclotomic field still
     # validates and still satisfies the product relations
