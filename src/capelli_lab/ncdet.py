@@ -1,10 +1,13 @@
 """Determinants over noncommutative rings, and polynomials in a central z.
 
-The determinant kernels enumerate the symmetric group directly and
-multiply factors in exactly the defining order; no step assumes the
-entries commute.  Entries may be anything ring-like: they must support
-+, -, *, unary -, bool (nonzero test), ==, and scalar multiplication by
-ints and Fractions from the left.
+The column and double determinants share one prefix-sharing expansion
+(`_expand`): the terms of each permutation sum are grown one factor at a
+time from the left, and every ordered prefix that uses the same rows and
+columns is summed before the next factor is multiplied on.  Factors stay
+in exactly the defining order; no step assumes the entries commute.
+Entries may be anything ring-like: they must support +, -, *, unary -,
+bool (nonzero test), ==, and scalar multiplication by ints and Fractions
+from the left.
 
 The shifted, conjugated and double-determinant builders are written once
 here for any such ring, and serve the group algebra (capelli) and the
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
 
 
 class SizeLimit(ValueError):
@@ -25,23 +27,6 @@ class SizeLimit(ValueError):
 
 
 SIZE_LIMIT = 6
-
-
-def perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _check_size(matrix):
@@ -53,18 +38,68 @@ def _check_size(matrix):
     return m
 
 
-def coldet(matrix):
-    """Column determinant: sum of sgn(s) * a[s(1)][1] * a[s(2)][2] * ..."""
+def _expand(matrix, free_columns, diagonal_terms=None):
+    """Sum over permutations s (and, with free_columns, t) of
+    sgn(s) [sgn(t)] * a[s(0)][t(0)] * ... * a[s(m-1)][t(m-1)], where t is
+    the identity unless free_columns; with diagonal_terms, factor k of a
+    diagonal entry is a[r][r] + diagonal_terms[k].
+
+    A state after k factors is (rows used, columns used), as bit masks,
+    and holds the signed sum of every ordered k-factor prefix that uses
+    exactly those rows and columns.  Step k multiplies each state's sum
+    on the right by one entry of an unused row (and an unused column, or
+    column k) and adds it into the state that entry leads to.  Every term
+    of the full sum extends exactly one prefix per level, so the only
+    ring law used is right distributivity, (x + y) * z = x*z + y*z; the
+    factor order of each term is untouched.
+
+    The sign is kept incrementally: appending row r after the rows used
+    adds #{used rows > r} inversions to s, and appending column c adds
+    #{used columns > c} to t.  Level k holds C(m, k) states, each extended
+    by m - k entries (C(m, k)^2 and (m - k)^2 with free columns), and only
+    levels k >= 1 multiply.
+    """
     m = _check_size(matrix)
-    total = None
-    for perm in permutations(range(m)):
-        term = matrix[perm[0]][0]
-        for col in range(1, m):
-            term = term * matrix[perm[col]][col]
-        if perm_sign(perm) < 0:
-            term = -term
-        total = term if total is None else total + term
+    if diagonal_terms is not None and len(diagonal_terms) != m:
+        raise ValueError("need one diagonal term per factor position")
+    level = {(0, 0): None}
+    for k in range(m):
+        entries = matrix
+        if diagonal_terms is not None:
+            shift = diagonal_terms[k]
+            entries = [[entry + shift if i == j else entry for j, entry in enumerate(row)]
+                       for i, row in enumerate(matrix)]
+        following = {}
+        for (rows, cols), acc in level.items():
+            for c in range(m) if free_columns else (k,):
+                if cols >> c & 1:
+                    continue
+                cols_after = cols | 1 << c
+                col_odd = (cols >> c).bit_count() & 1
+                for r in range(m):
+                    if rows >> r & 1:
+                        continue
+                    entry = entries[r][c]
+                    term = entry if acc is None else acc * entry
+                    key = (rows | 1 << r, cols_after)
+                    odd = ((rows >> r).bit_count() + col_odd) & 1
+                    prev = following.get(key)
+                    if prev is None:
+                        following[key] = -term if odd else term
+                    else:
+                        following[key] = prev - term if odd else prev + term
+        level = following
+    (total,) = level.values()
     return total
+
+
+def coldet(matrix):
+    """Column determinant: sum of sgn(s) * a[s(1)][1] * a[s(2)][2] * ...
+
+    Expanded with column k forced at step k, so it costs the sum over
+    1 <= k < m of C(m, k) * (m - k) ring products: 2, 9 and 28 at
+    m = 2, 3, 4, against (m - 1) * m! for the permutation sum."""
+    return _expand(matrix, False)
 
 
 def rowdet(matrix):
@@ -75,32 +110,17 @@ def rowdet(matrix):
 
 
 def _double_sum(matrix, diagonal_terms):
-    # (1/m!) * sum over (s, t) of sgn(st) * prod over i of a[s(i)][t(i)],
-    # factors in index order; with diagonal_terms, factor i of a diagonal
-    # entry also picks up diagonal_terms[i]
-    m = _check_size(matrix)
-    if diagonal_terms is not None and len(diagonal_terms) != m:
-        raise ValueError("need one diagonal term per factor position")
-    total = None
-    for sigma in permutations(range(m)):
-        ssign = perm_sign(sigma)
-        for tau in permutations(range(m)):
-            term = None
-            for i in range(m):
-                entry = matrix[sigma[i]][tau[i]]
-                if diagonal_terms is not None and sigma[i] == tau[i]:
-                    entry = entry + diagonal_terms[i]
-                term = entry if term is None else term * entry
-            if ssign * perm_sign(tau) < 0:
-                term = -term
-            total = term if total is None else total + term
-    return Fraction(1, math.factorial(m)) * total
+    total = _expand(matrix, True, diagonal_terms)
+    return Fraction(1, math.factorial(len(matrix))) * total
 
 
 def doubledet(matrix):
     """Double determinant: (1/m!) * sum over (s, t) of
     sgn(st) * a[s(1)][t(1)] * ... * a[s(m)][t(m)], factors in index order.
 
+    Expanded with rows and columns both free, so it costs the sum over
+    1 <= k < m of (C(m, k) * (m - k))^2 ring products: 4, 45 and 304 at
+    m = 2, 3, 4, against (m - 1) * m!^2 for the sum over pairs.
     Requires the entries to admit exact division by m! (Fraction action).
     """
     return _double_sum(matrix, None)

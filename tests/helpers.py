@@ -3,10 +3,10 @@
 Everything here is deliberately naive and separate from the package
 implementation: permutation composition from scratch, polynomial
 reduction from scratch, group-table line checks as first written,
-convolution straight off the definition, the Leibniz determinant, a
-free-word ring, a direct differential-action evaluator, and irrep
-validation by one matrix product per pair.  Tests compare package output
-against these.
+convolution straight off the definition, the Leibniz determinant and the
+double determinant as permutation sums, a free-word ring, a direct
+differential-action evaluator, and irrep validation by one matrix
+product per pair.  Tests compare package output against these.
 """
 
 import math
@@ -139,6 +139,29 @@ def leibniz_det(matrix):
         term = term if sign > 0 else -term
         total = term if total is None else total + term
     return total
+
+
+def double_sum_by_permutations(matrix, diagonal_terms=None):
+    """(1/m!) * sum over (s, t) of sgn(st) * prod over i of a[s(i)][t(i)],
+    factors in index order, term by term over all m!^2 pairs; with
+    diagonal_terms, factor i of a diagonal entry also picks up
+    diagonal_terms[i].  The double determinant as ncdet computed it
+    before the prefix-sharing expansion."""
+    m = len(matrix)
+    total = None
+    for sigma in permutations(range(m)):
+        ssign = _perm_sign(sigma)
+        for tau in permutations(range(m)):
+            term = None
+            for i in range(m):
+                entry = matrix[sigma[i]][tau[i]]
+                if diagonal_terms is not None and sigma[i] == tau[i]:
+                    entry = entry + diagonal_terms[i]
+                term = entry if term is None else term * entry
+            if ssign * _perm_sign(tau) < 0:
+                term = -term
+            total = term if total is None else total + term
+    return Fraction(1, math.factorial(m)) * total
 
 
 def _perm_sign(perm):

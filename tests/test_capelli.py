@@ -19,6 +19,7 @@ from capelli_lab.capelli import (
     matrix_attached_double_det,
     positioned_double_det,
     render_capelli,
+    shifted_matrix,
     u_factor,
     u_product,
     verify_centrality,
@@ -30,8 +31,8 @@ from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
 from capelli_lab.groups import conjugacy_classes, group_from_dict
 from capelli_lab.irreps import E_matrix, irrep_from_dict
-from capelli_lab.ncdet import ZPoly
-from helpers import naive_convolve
+from capelli_lab.ncdet import ZPoly, natural_sigma
+from helpers import double_sum_by_permutations, naive_convolve
 
 S3 = catalog_irreps("S3")
 STD = S3.by_label("std")
@@ -421,6 +422,18 @@ def test_double_dets_at_zero_shifted_match_direct_expansion(irrep):
             at_zero = expand(irrep, sigma, 0)
             for c in (Fraction(1), Fraction(irrep.alpha)):
                 assert at_zero.shift(c) == expand(irrep, sigma, c), (expand.__name__, sigma, c)
+
+
+def test_a4_double_dets_at_zero_match_permutation_sums():
+    irrep = catalog_irreps("A4").by_label("std")
+    one = AlgebraElement.identity(irrep.group, irrep.conductor)
+    lifted = [[ZPoly([entry]) for entry in row] for row in E_matrix(irrep)]
+    for sigma in permutations(range(1, irrep.degree + 1)):
+        diag = natural_sigma(irrep.degree, sigma)
+        positioned = [ZPoly([irrep.alpha * d * one, -one]) for d in diag]
+        assert positioned_double_det(irrep, sigma, 0) == double_sum_by_permutations(lifted, positioned)
+        attached = shifted_matrix(irrep, diag)
+        assert matrix_attached_double_det(irrep, sigma, 0) == double_sum_by_permutations(attached)
 
 
 # -- verifiers must be able to fail ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -64,6 +65,25 @@ def test_capelli_at_reads_the_coefficient_grammar(capsys):
     code, out, _ = run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "3/02")
     assert code == 0
     assert "C^std at z=3/02 = -21/4*e + 3/2*(123) + 3/2*(132)" in out
+
+
+def test_capelli_at_too_long_to_render_exits_2(capsys):
+    # a 3,000-digit integer parses, but the degree-2 value squares it past
+    # str()'s digit limit; before the bound this was a traceback, exit 1
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "7" * 3000)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --at has 3000 digits")
+
+
+def test_capelli_at_just_under_the_render_bound(capsys):
+    bound = sys.get_int_max_str_digits() // 3  # degree 2
+    code, out, _ = run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "7" * bound)
+    assert code == 0
+    assert out.startswith(f"C^std at z={'7' * bound} = ")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "1/" + "7" * (bound + 1))
+    assert exc.value.code == 2
 
 
 def test_capelli_json_payload(capsys):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli_lab.ncdet import (
@@ -15,12 +15,11 @@ from capelli_lab.ncdet import (
     natural_shift,
     natural_sigma,
     natural_star,
-    perm_sign,
     positioned_doubledet,
     rowdet,
 )
 from capelli_lab.weyl import WeylContext, WeylOp
-from helpers import FreeWord, leibniz_det
+from helpers import FreeWord, _perm_sign, double_sum_by_permutations, leibniz_det
 
 
 def words(*names):
@@ -37,13 +36,6 @@ def test_column_determinant_2x2_order():
 def test_row_determinant_2x2_order():
     a, b, c, d = words("a", "b", "c", "d")
     assert rowdet([[a, b], [c, d]]) == a * d - b * c
-
-
-def test_perm_sign():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((1, 2, 0)) == 1
-    assert perm_sign((3, 2, 1, 0)) == 1
 
 
 def test_determinants_agree_on_commutative_entries():
@@ -115,7 +107,7 @@ def test_coldet_of_scalar_permutation_matrix_is_sign():
     matrix = [[Fraction(0), Fraction(1), Fraction(0)],
               [Fraction(0), Fraction(0), Fraction(1)],
               [Fraction(1), Fraction(0), Fraction(0)]]
-    assert coldet(matrix) == perm_sign((1, 2, 0))
+    assert coldet(matrix) == _perm_sign((1, 2, 0))
 
 
 def test_column_multilinearity_over_scalars():
@@ -240,3 +232,83 @@ def test_zpoly_shift_of_empty_polynomial_and_by_zero():
     assert poly.shift(0) == poly
     # (a + b z) at z + 2 is (a + 2b) + b z, b's factor order untouched
     assert poly.shift(2) == ZPoly([a + b * 2, b])
+
+
+# -- the prefix-sharing expansion against the permutation sums ---------------------
+
+
+def _transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
+
+
+def _assert_expansions_match_oracles(matrix, diagonal_terms):
+    assert coldet(matrix) == leibniz_det(matrix)
+    assert rowdet(matrix) == leibniz_det(_transpose(matrix))
+    assert doubledet(matrix) == double_sum_by_permutations(matrix)
+    assert positioned_doubledet(matrix, diagonal_terms) == double_sum_by_permutations(
+        matrix, diagonal_terms)
+
+
+def _square(entries, m):
+    return st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m)
+
+
+# entries over three noncommuting symbols; the empty dictionary is a zero entry
+_oracle_words = st.dictionaries(st.lists(st.sampled_from("abc"), max_size=2).map(tuple),
+                                st.integers(-2, 2).map(Fraction), max_size=2).map(FreeWord)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_free_word_expansions_match_permutation_sums(data, m):
+    matrix = data.draw(_square(_oracle_words, m))
+    diagonal_terms = data.draw(st.lists(_oracle_words, min_size=m, max_size=m))
+    _assert_expansions_match_oracles(matrix, diagonal_terms)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5))
+def test_fraction_expansions_match_permutation_sums(data, m):
+    matrix = data.draw(_square(_fractions, m))
+    diagonal_terms = data.draw(st.lists(_fractions, min_size=m, max_size=m))
+    _assert_expansions_match_oracles(matrix, diagonal_terms)
+
+
+_zpoly_words = st.lists(_oracle_words, max_size=2).map(ZPoly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3))
+def test_zpoly_expansions_match_permutation_sums(data, m):
+    matrix = data.draw(_square(_zpoly_words, m))
+    diagonal_terms = data.draw(st.lists(_zpoly_words, min_size=m, max_size=m))
+    _assert_expansions_match_oracles(matrix, diagonal_terms)
+
+
+@pytest.mark.parametrize("m, column_products, double_products", [
+    (2, 2, 4),
+    (3, 9, 45),     # the permutation sums: 12 and 72
+    (4, 28, 304),   # the permutation sums: 72 and 1,728
+])
+def test_free_word_product_counts(monkeypatch, m, column_products, double_products):
+    products = []
+    plain_mul = FreeWord.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, FreeWord):
+            products.append(1)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(FreeWord, "__mul__", counting_mul)
+    matrix = [[FreeWord.symbol(f"a{i}{j}") for j in range(m)] for i in range(m)]
+    diagonal_terms = [FreeWord.symbol(f"d{i}") for i in range(m)]
+
+    def count(det, *args):
+        products.clear()
+        det(*args)
+        return len(products)
+
+    assert count(coldet, matrix) == column_products
+    assert count(rowdet, matrix) == column_products
+    assert count(doubledet, matrix) == double_products
+    assert count(positioned_doubledet, matrix, diagonal_terms) == double_products
