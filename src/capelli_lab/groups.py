@@ -2,16 +2,18 @@
 
 Elements are dense indices 0..n-1; the Cayley table is the whole group.
 Construction always validates, so everything downstream may assume it is
-holding an actual group: entries must be ints (one type test each, so
-neither True nor 1.0 nor "1" passes), each row and column is put into
-one set that decides its shape, range and whether it is a permutation,
-then identity, inverses, and associativity by Light's test over a greedy
+holding an actual group: entries must be ints (neither True nor 1.0 nor
+"1" passes), every row and column must be a permutation of 0..n-1, then
+come identity, inverses, and associativity by Light's test over a greedy
 generating set S, which is exact and costs O(n^2 |S|) with
-|S| <= log2(n) + 1 for a group; that test is the remaining cost.  The
-generating set is kept on the group, so that irrep validation can check
-the homomorphism property over generators only.  Loading a
-table from JSON compares its size to the order limit before any of this
-validation runs.
+|S| <= log2(n) + 1 for a group.  A table of order n <= 256 is checked as
+one bytes object per line, so that the Latin scan and each (s, x) pair of
+Light's test are single C-level byte operations; a larger table keeps
+tuples, sets and itemgetter.  The two line types share the order of the
+checks, the messages and the witnesses.  The generating set is kept on
+the group, so that irrep validation can check the homomorphism property
+over generators only.  Loading a table from JSON compares its size to
+the order limit before any of this validation runs.
 """
 
 from __future__ import annotations
@@ -84,69 +86,181 @@ class ClassPartition:
 
 
 def build_group_from_table(name, element_names, table) -> Group:
-    if not all(isinstance(row, (list, tuple)) and {int}.issuperset(map(type, row)) for row in table):
-        raise ValueError("field 'table' must be a list of rows of integers")
     n = len(table)
+    return _build_group(name, element_names, table, (_ByteLines if n <= 256 else _TupleLines)(n))
+
+
+def _build_group(name, element_names, table, lines) -> Group:
+    """The checks of build_group_from_table in their order, over one line
+    type (_ByteLines or _TupleLines), which converts the rows, builds the
+    columns and answers the per-line questions."""
+    rows = lines.rows(table)
+    n = lines.n
     if n == 0:
         raise NotAGroup("empty table")
     element_names = tuple(str(x) for x in element_names)
     if len(element_names) != n:
         raise NotAGroup(f"{len(element_names)} names for {n} elements")
-    table = tuple(map(tuple, table))
-    # one set per row decides its range and, with every row in range, whether
-    # it is a permutation: a line of n entries in 0..n-1 is one exactly when
-    # they are distinct
-    span = set(range(n))
-    row_distinct = []
-    for row in table:
-        entries = set(row)
-        if len(row) != n or not entries <= span:
-            raise NotAGroup("table is not n x n over 0..n-1")
-        row_distinct.append(len(entries) == n)
-    columns = tuple(zip(*table))
+    row_permutes = lines.shape(rows)
+    columns = lines.columns(rows)
     for i in range(n):
-        if not row_distinct[i]:
+        if not row_permutes[i]:
             raise NotAGroup("row is not a permutation", witness=i)
-        if len(set(columns[i])) != n:
+        if not lines.permutes(columns[i]):
             raise NotAGroup("column is not a permutation", witness=i)
 
     # in a Latin square at most one row (and one column) is the identity map
-    ident = tuple(range(n))
-    identity = next((e for e in range(n) if table[e] == ident and columns[e] == ident), None)
+    ident = lines.ident
+    identity = next((e for e in range(n) if rows[e] == ident and columns[e] == ident), None)
     if identity is None:
         raise NotAGroup("no two-sided identity element")
 
     # the one right inverse g*h = e must also be a left inverse
     inverses = []
     for g in range(n):
-        h = table[g].index(identity)
-        if table[h][g] != identity:
+        h = rows[g].index(identity)
+        if rows[h][g] != identity:
             raise NotAGroup("missing inverse", witness=g)
         inverses.append(h)
 
-    generators = _greedy_generators(table)
-    witness = _associativity_witness(table, columns, generators)
+    generators = _greedy_generators(rows)
+    witness = _associativity_witness(rows, columns, generators, lines.left_products(rows))
     if witness is not None:
         raise NotAGroup("associativity fails", witness=witness)
 
-    return Group(str(name), n, element_names, table, identity, tuple(inverses), generators)
+    return Group(str(name), n, element_names, lines.table(rows), identity, tuple(inverses),
+                 generators)
 
 
-def _associativity_witness(table, columns, generators):
+_NOT_INTEGER_ROWS = "field 'table' must be a list of rows of integers"
+_NOT_N_BY_N = "table is not n x n over 0..n-1"
+
+
+class _ByteLines:
+    """Each line as one bytes object, for n <= 256 (a byte holds 0..255):
+    every per-line check is a C-level byte operation.  With ident the bytes
+    0..n-1, a line has every entry below n exactly when
+    line.translate(None, ident) is empty, and a line of length n is a
+    permutation exactly when ident.translate(None, line) is."""
+
+    def __init__(self, n):
+        self.n = n
+        self.ident = bytes(range(n))
+        self._pad = bytes(range(n, 256))  # completes a row to a 256-byte translate table
+
+    def rows(self, table):
+        """Each row as bytes, or None where bytes() refuses an all-int row
+        (an entry outside 0..255, so out of range); raises the type error of
+        the first row that is not a list of ints.  Of the JSON values only
+        ints and bools pass bytes(), and in a permutation of 0..n-1 a bool
+        can stand only where 0 or 1 is, so a permutation row needs two type
+        tests; any other row gets one per entry.  (Other integer types with
+        __index__, which JSON cannot produce, pass as their value.)"""
+        n, ident = self.n, self.ident
+        rows = []
+        for row in table:
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(_NOT_INTEGER_ROWS)
+            try:
+                line = bytes(row)  # TypeError on float, str, None, list, dict
+            except (TypeError, ValueError):
+                line = None
+            if line is not None and len(line) == n and not ident.translate(None, line):
+                typed = (type(row[line.index(0)]) is int
+                         and (n == 1 or type(row[line.index(1)]) is int))
+            else:
+                typed = {int}.issuperset(map(type, row))
+            if not typed:
+                raise ValueError(_NOT_INTEGER_ROWS)
+            rows.append(line)
+        return rows
+
+    def shape(self, rows):
+        """Raise unless every row has n entries in 0..n-1; then whether each
+        row is a permutation."""
+        n, ident = self.n, self.ident
+        for line in rows:
+            if line is None or len(line) != n or line.translate(None, ident):
+                raise NotAGroup(_NOT_N_BY_N)
+        return list(map(self.permutes, rows))
+
+    def columns(self, rows):
+        flat = b"".join(rows)
+        return [flat[j::self.n] for j in range(self.n)]
+
+    def permutes(self, line):
+        return not self.ident.translate(None, line)
+
+    def left_products(self, rows):
+        """For the row of s, the lines y -> x*(s*y), one per x: the row of s
+        translated through the row of x."""
+        padded = [line + self._pad for line in rows]
+        return lambda s_row: list(map(s_row.translate, padded))
+
+    @staticmethod
+    def table(rows):
+        return tuple(map(tuple, rows))
+
+
+class _TupleLines:
+    """Each line as a tuple of ints, for n >= 2 of any size (itemgetter of
+    one index returns no tuple); one set per row decides its shape, range
+    and, with every row in range, whether it is a permutation."""
+
+    def __init__(self, n):
+        self.n = n
+        self.ident = tuple(range(n))
+
+    @staticmethod
+    def rows(table):
+        if not all(isinstance(row, (list, tuple)) and {int}.issuperset(map(type, row))
+                   for row in table):
+            raise ValueError(_NOT_INTEGER_ROWS)
+        return tuple(map(tuple, table))
+
+    def shape(self, rows):
+        n, span = self.n, set(self.ident)
+        row_permutes = []
+        for row in rows:
+            entries = set(row)
+            if len(row) != n or not entries <= span:
+                raise NotAGroup(_NOT_N_BY_N)
+            # a line of n entries in 0..n-1 is a permutation when they are distinct
+            row_permutes.append(len(entries) == n)
+        return row_permutes
+
+    @staticmethod
+    def columns(rows):
+        return tuple(zip(*rows))
+
+    def permutes(self, line):
+        return len(set(line)) == self.n
+
+    @staticmethod
+    def left_products(rows):
+        """For the row of s, the lines y -> x*(s*y), one per x."""
+        return lambda s_row: list(map(itemgetter(*s_row), rows))
+
+    @staticmethod
+    def table(rows):
+        return rows
+
+
+def _associativity_witness(rows, columns, generators, left_products):
     """Light's test: a triple (x, s, y) with s a generator and
-    (x*s)*y != x*(s*y), or None when the table is associative.
+    (x*s)*y != x*(s*y), or None when the table is associative; the first
+    failing s in generator order, then x, then y.  left_products maps the
+    row of s to the lines y -> x*(s*y), one per x.
 
     A = {s : (x*s)*y == x*(s*y) for all x, y} is closed under products: for
     a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The
     generators lie in A and every element is a product of generators, so A
     is the whole table.
     """
-    n = len(table)
-    if n == 1:
-        return None  # ((0,),) is associative; itemgetter of one index returns no tuple
+    n = len(rows)
     for s in generators:
-        xs_rows = list(map(table.__getitem__, columns[s]))  # row of x*s, per x
-        x_s_y = list(map(itemgetter(*table[s]), table))  # x*(s*y) over y, per x
+        xs_rows = list(map(rows.__getitem__, columns[s]))  # row of x*s, per x
+        x_s_y = left_products(rows[s])
         if xs_rows != x_s_y:
             x = next(x for x in range(n) if xs_rows[x] != x_s_y[x])
             y = next(y for y in range(n) if xs_rows[x][y] != x_s_y[x][y])
@@ -327,7 +441,18 @@ def group_from_dict(data, max_order=DEFAULT_ORDER_LIMIT) -> Group:
     return build_group_from_table(data["name"], elements, table)
 
 
+def read_json(path):
+    """The JSON document in a file.  json.loads gets the bytes and detects
+    UTF-8, -16 or -32 itself, so the locale's encoding plays no part; a
+    document nested too deeply for the parser raises ValueError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def load_group(path, max_order=DEFAULT_ORDER_LIMIT) -> Group:
     """Read a group JSON file; see group_from_dict."""
-    with open(path) as fh:
-        return group_from_dict(json.load(fh), max_order)
+    return group_from_dict(read_json(path), max_order)

@@ -26,7 +26,6 @@ satisfy are what every later Capelli computation leans on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from operator import add, mul
 from . import linalg
 from .algebra import AlgebraElement
 from .cyclo import CONDUCTOR_LIMIT, ConductorMismatch, Cyclo, power_table
-from .groups import Group, exponent
+from .groups import Group, exponent, read_json
 from .reports import Report
 
 
@@ -505,5 +504,4 @@ def irrep_from_dict(group: Group, data) -> Irrep:
 
 
 def load_irrep(path, group: Group) -> Irrep:
-    with open(path) as fh:
-        return irrep_from_dict(group, json.load(fh))
+    return irrep_from_dict(group, read_json(path))

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -172,6 +174,27 @@ def test_verify_group_file_with_irrep_file(tmp_path, capsys):
                        "--irrep-file", str(irrep_path), "--checks", "closed-form")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_utf8_files_load_under_an_ascii_locale(tmp_path):
+    # the files are read as bytes: the C locale's ASCII plays no part
+    group = group_to_dict(catalog_group("S3"))
+    group["name"] = "S₃"
+    group["elements"] = [f"σ{name}" for name in group["elements"]]
+    irrep = irrep_to_dict(catalog_irreps("S3").by_label("std"))
+    irrep.update(label="χ", group="S₃")
+    for path, data in (("group.json", group), ("irrep.json", irrep)):
+        (tmp_path / path).write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(groups.__file__).parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "capelli_lab.cli", "verify", "--group-file", "group.json",
+         "--irrep-file", "irrep.json", "--checks", "closed-form", "--format", "json"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["group"] == "S₃"
 
 
 def test_corrupted_irrep_file_exits_3(tmp_path, capsys):

@@ -7,6 +7,7 @@ bounded time, with no exception escaping `main` other than the
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +90,19 @@ def test_malformed_files_exit_cleanly(tmp_path, capsys, pair):
                        "--irrep-file", str(irrep_path), "--checks", "closed-form"])
     capsys.readouterr()
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("which", ["group", "irrep"])
+def test_deeply_nested_files_are_refused(tmp_path, capsys, which):
+    # the JSON parser gives up on this with RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if which == "group":
+        irrep_path = tmp_path / "irrep.json"
+        irrep_path.write_text(json.dumps(irrep_to_dict(catalog_irreps("C3").irreps[0])))
+        argv, expected = ["--group-file", str(deep), "--irrep-file", str(irrep_path)], 2
+    else:
+        argv, expected = ["--group", "C3", "--irrep-file", str(deep)], 3
+    code = _exit_code(["verify", *argv, "--checks", "closed-form"])
+    assert code == expected
+    assert f"error: cannot load {which} file:" in capsys.readouterr().err

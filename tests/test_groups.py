@@ -1,11 +1,15 @@
+import functools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capelli_lab import groups
 from capelli_lab.catalog import catalog_group, catalog_names
+from capelli_lab.cli import main
 from capelli_lab.groups import (
     ClosureTooLarge,
     NotAGroup,
@@ -86,11 +90,34 @@ def reduced_latin_squares(n):
     yield from fill(0)
 
 
+def _outcome(build):
+    """The accepted group, or the refusal's class, message and witness."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def assert_line_types_agree(table):
+    """Every line type that can hold the table gives the outcome of
+    build_group_from_table: bytes up to order 256, tuples from order 2
+    (itemgetter of one index returns no tuple).  Returns that outcome."""
+    n = len(table)
+    names = [str(i) for i in range(n)]
+    expected = _outcome(lambda: build_group_from_table("G", names, table))
+    line_types = [lines for lines, fits in ((groups._ByteLines, n <= 256),
+                                            (groups._TupleLines, n >= 2)) if fits]
+    for lines in line_types:
+        assert _outcome(lambda: groups._build_group("G", names, table, lines(n))) == expected
+    return expected
+
+
 def assert_build_matches_oracle(table):
     """Accepted exactly when the full scan finds the table associative; an
-    associativity rejection names a triple that really fails.  Returns the
-    rejection message, or None when accepted."""
+    associativity rejection names a triple that really fails; both line
+    types agree.  Returns the rejection message, or None when accepted."""
     names = [str(i) for i in range(len(table))]
+    assert_line_types_agree(table)
     if brute_associative(table):
         build_group_from_table("loop", names, table)
         return None
@@ -197,10 +224,7 @@ def mutated_catalog_tables(draw):
 
 def _table_outcome(build):
     """The accepted table as tuples, or the refusal's class, message and witness."""
-    try:
-        result = build()
-    except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "witness", None)
+    result = _outcome(build)
     return getattr(result, "table", result)
 
 
@@ -212,7 +236,7 @@ def test_table_checks_match_reference(case):
     data = {"name": "G", "order": len(table), "elements": names, "table": table}
     expected = _table_outcome(lambda: table_lines_reference(table, from_file=True))
     loaded = _table_outcome(lambda: group_from_dict(data))
-    built = _table_outcome(lambda: build_group_from_table("G", names, table))
+    built = _table_outcome(lambda: assert_line_types_agree(table))
     assert loaded == expected
     if kind == "none":
         assert loaded == tuple(map(tuple, table))
@@ -221,6 +245,148 @@ def test_table_checks_match_reference(case):
         assert built == (ValueError, "field 'table' must be a list of rows of integers", None)
     else:
         assert built == loaded
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_type_error_in_a_later_row_wins_over_a_short_first_row(value):
+    table = cyclic_table(4)
+    table[0].pop()
+    table[3][table[3].index(value)] = True
+    assert assert_line_types_agree(table) == (
+        ValueError, "field 'table' must be a list of rows of integers", None)
+
+
+# -- tables at the edge of the byte lines (order 256) --------------------------------
+
+
+def _xor_table(n):
+    return [[a ^ b for b in range(n)] for a in range(n)]
+
+
+def _d4_times_c2_5():
+    d4, m = catalog_group("D4").table, 32
+    return [[d4[a // m][b // m] * m + (a % m ^ b % m) for b in range(8 * m)]
+            for a in range(8 * m)]
+
+
+BOUNDARY_GROUPS = {"C2^8": lambda: _xor_table(256), "D4xC2^5": _d4_times_c2_5,
+                   "C255": lambda: cyclic_table(255), "C257": lambda: cyclic_table(257)}
+
+
+@functools.cache
+def _relabelled(name):
+    table = BOUNDARY_GROUPS[name]()
+    n = len(table)
+    perm = list(range(n))
+    random.Random(name).shuffle(perm)
+    if perm[0] == 0:
+        perm[0], perm[1] = perm[1], perm[0]
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[perm[a]][perm[b]] = perm[table[a][b]]
+    return tuple(map(tuple, relabelled))
+
+
+def relabelled_group_table(name):
+    """A boundary group's table under a seeded relabelling that moves the
+    identity off index 0, as a fresh list of lists."""
+    return list(map(list, _relabelled(name)))
+
+
+def swap_intercalate(table, rng):
+    """Swap the entries of an intercalate [[p, q], [q, p]] that avoids the
+    identity in its rows, columns and entries, so that the identity and
+    every inverse survive.  In a group, rows a and a*u with columns u*d and
+    d form one for every involution u; a group of odd order has none."""
+    n = len(table)
+    e = next(g for g in range(n) if table[g][g] == g)
+    involutions = [u for u in range(n) if u != e and table[u][u] == e]
+    while True:
+        u, a, d = rng.choice(involutions), rng.randrange(n), rng.randrange(n)
+        b, c = table[a][u], table[u][d]
+        if e not in (a, b, c, d, table[a][c], table[a][d]):
+            break
+    table[a][c], table[a][d] = table[a][d], table[a][c]
+    table[b][c], table[b][d] = table[b][d], table[b][c]
+
+
+BOUNDARY_MUTATIONS = ("none", "entry-n", "entry-255", "entry-256", "entry-minus-1", "true-at-0",
+                      "true-at-1", "float", "row-duplicate", "column-duplicate", "intercalate")
+
+
+def mutate_boundary_table(name, kind):
+    table = relabelled_group_table(name)
+    n = len(table)
+    rng = random.Random(f"{name}/{kind}")
+    r, c, other = rng.randrange(n), rng.randrange(n), rng.randrange(1, n)
+    if kind.startswith("entry-"):
+        table[r][c] = {"entry-n": n, "entry-255": 255, "entry-256": 256, "entry-minus-1": -1}[kind]
+    elif kind.startswith("true-at-"):
+        table[r][table[r].index(int(kind[-1]))] = True
+    elif kind == "float":
+        table[r][c] = float(table[r][c])
+    elif kind == "row-duplicate":
+        table[r][c] = table[r][(c + other) % n]
+    elif kind == "column-duplicate":
+        table[r][c] = table[(r + other) % n][c]
+    elif kind == "intercalate":
+        swap_intercalate(table, rng)
+    return table
+
+
+def assert_first_associativity_failure(table, witness):
+    """(x, s, y) fails, and no triple fails before it: none with an earlier
+    generator, none with s and a smaller x, none with s, x and a smaller y."""
+    def fails(x, s, y):
+        return table[table[x][s]][y] != table[x][table[s][y]]
+
+    x, s, y = witness
+    n = len(table)
+    generators = groups._greedy_generators(table)
+    assert fails(x, s, y)
+    assert not any(fails(xx, t, yy) for t in generators[:generators.index(s)]
+                   for xx in range(n) for yy in range(n))
+    assert not any(fails(xx, s, yy) for xx in range(x) for yy in range(n))
+    assert not any(fails(x, s, yy) for yy in range(y))
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in BOUNDARY_GROUPS for kind in BOUNDARY_MUTATIONS
+    if not (kind == "intercalate" and name in ("C255", "C257"))  # odd order: none
+])
+def test_boundary_tables_match_reference(name, kind):
+    table = mutate_boundary_table(name, kind)
+    outcome = assert_line_types_agree(table)
+    reference = _table_outcome(lambda: table_lines_reference(table, from_file=True))
+    if kind == "none":
+        assert outcome.table == reference == tuple(map(tuple, table))
+    elif kind == "intercalate":
+        assert reference == tuple(map(tuple, table))
+        assert outcome[:2] == (NotAGroup, "associativity fails")
+        assert_first_associativity_failure(table, outcome[2])
+    else:
+        assert outcome == reference
+
+
+def test_order_256_files_through_main(tmp_path, capsys):
+    n = 256
+    irrep = {"label": "triv", "group": "G", "degree": 1, "conductor": 1,
+             "matrices": [[[{"conductor": 1, "coeffs": ["1"]}]]] * n}
+    (tmp_path / "irrep.json").write_text(json.dumps(irrep))
+    for name, kind, code, message in (("C2^8", "none", 0, ""),
+                                      ("D4xC2^5", "intercalate", 2,
+                                       "error: cannot load group file: associativity fails")):
+        group = {"name": "G", "order": n, "elements": [f"g{i}" for i in range(n)],
+                 "table": mutate_boundary_table(name, kind)}
+        (tmp_path / "group.json").write_text(json.dumps(group))
+        try:
+            result = main(["verify", "--group-file", str(tmp_path / "group.json"), "--irrep-file",
+                           str(tmp_path / "irrep.json"), "--checks", "closed-form"])
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        assert capsys.readouterr().err.strip() == message
 
 
 def test_malformed_table_rejected():
