@@ -10,7 +10,8 @@ status matrix, and writes the combined JSON report when asked.
 
 With --expect, the (group, name, check, irrep, status, detail) rows are
 compared with those of a report saved by --out, and the first row that
-differs is named; the exit code is then 1.
+differs is named; the exit code is then 1.  An unknown --groups name
+exits 2 before any check runs.
 """
 
 import argparse
@@ -34,6 +35,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     names = args.groups.split(",") if args.groups else list(catalog_names())
+    unknown = [name for name in names if name not in catalog_names()]
+    if unknown:
+        print(f"error: unknown groups {unknown}; try one of {', '.join(catalog_names())}",
+              file=sys.stderr)
+        return 2
     combined = []
     grand = Counter()
     seconds = Counter()

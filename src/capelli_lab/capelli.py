@@ -18,15 +18,13 @@ matrix, since the (i, i) entry only ever occurs as factor i), or baked
 into the matrix before the double sum runs.  The positioned reading
 reproduces the Capelli element for every shift permutation with shift
 constant alpha; the matrix reading does so only in degree 1.  Both
-outcomes are measured and reported rather than assumed.  A shift
-constant c only ever enters as z + c, so each reading is expanded once
-per shift permutation, at c = 0, and both candidates are read off that
-expansion by the exact substitution z -> z + c.
+outcomes are measured and reported rather than assumed.
 
-The matrices themselves (the shifted z-matrix, the conjugate P E P^-1 and
-the positioned double determinant) come from the ring-generic builders in
-ncdet, applied to E with the group algebra's identity; the Weyl side
-applies the same builders to Pi.
+Every determinant here (the Capelli element, its conjugates P E P^-1 and
+the row and double determinant variants, expanded once at shift constant
+c = 0 and read at each candidate c by `ZPoly.shift`) comes from the
+ring-generic routines in ncdet, applied to E with the group algebra's
+identity; the Weyl side applies the same routines to Pi.
 """
 
 from __future__ import annotations
@@ -34,24 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from . import linalg
 from .algebra import AlgebraElement, character_element
 from .groups import conjugacy_classes
 from .irreps import E_matrix, Irrep, IrrepSet
-from .ncdet import (
-    ZPoly,
-    add_diagonal,
-    capelli_zpoly,
-    conjugate,
-    doubledet,
-    minus_z,
-    natural_sigma,
-    natural_star,
-    positioned_shift_doubledet,
-    rowdet,
-)
+from .ncdet import ZPoly, capelli_zpoly, conjugated_capelli_zpolys, shift_variants
 from .reports import Report
 
 
@@ -99,14 +85,6 @@ def u_product(irrep: Irrep, count: int) -> ZPoly:
 
 def _one(irrep: Irrep) -> AlgebraElement:
     return AlgebraElement.identity(irrep.group, irrep.conductor)
-
-
-def shifted_matrix(irrep: Irrep, diag, z_shift=Fraction(0)) -> list[list[ZPoly]]:
-    """E + alpha*diag(...) - (z + z_shift) I over z-polynomials with
-    algebra-element coefficients."""
-    one = _one(irrep)
-    shift = [irrep.alpha * d - z_shift for d in diag]
-    return minus_z(add_diagonal(E_matrix(irrep), shift, one), one)
 
 
 def capelli_element(irrep: Irrep) -> CapelliElement:
@@ -190,19 +168,16 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
 # -- conjugation invariance ------------------------------------------------------
 
 
-def conjugated_capelli(irrep: Irrep, p_matrix) -> ZPoly:
-    """Column determinant of P E P^-1 + alpha*shift - zI."""
-    conj = conjugate(E_matrix(irrep), p_matrix, linalg.mat_inverse(p_matrix))
-    return capelli_zpoly(conj, irrep.alpha, _one(irrep))
-
-
 def verify_conjugation_invariance(irrep: Irrep, p_matrix=None) -> Report:
+    """The column determinant of P E P^-1 + alpha*shift - zI equals the
+    Capelli element, for p_matrix or for each P of `linalg.p_family`."""
     report = Report()
     reference = capelli_element(irrep).poly
-    family = [p_matrix] if p_matrix is not None else linalg.p_family(irrep.degree, irrep.conductor)
-    for idx, p in enumerate(family):
-        got = conjugated_capelli(irrep, p)
-        report.add("conjugation-invariance", f"{irrep.label}#P{idx}", got == reference)
+    family = ([(p_matrix, linalg.mat_inverse(p_matrix))] if p_matrix is not None
+              else linalg.p_family(irrep.degree, irrep.conductor))
+    got = conjugated_capelli_zpolys(E_matrix(irrep), irrep.alpha, _one(irrep), family)
+    for idx, poly in enumerate(got):
+        report.add("conjugation-invariance", f"{irrep.label}#P{idx}", poly == reference)
     return report
 
 
@@ -284,22 +259,6 @@ def _rank_check(report, name, elements, partition):
 # -- row and double determinant variants -----------------------------------------------
 
 
-def positioned_double_det(irrep: Irrep, sigma, shift_constant) -> ZPoly:
-    """Symmetrized determinant of E with the shift sequence
-    (sigma(m), ..., sigma(1)) scaled by alpha attached to the factor
-    positions, each diagonal hit also picking up -(z + c)."""
-    shift = [irrep.alpha * d for d in natural_sigma(irrep.degree, sigma)]
-    return positioned_shift_doubledet(E_matrix(irrep), shift, Fraction(shift_constant), _one(irrep))
-
-
-def matrix_attached_double_det(irrep: Irrep, sigma, shift_constant) -> ZPoly:
-    """The other parse of the same expression: add alpha * diag(sigma(m),
-    ..., sigma(1)) - (z + c) I to E first, then take the plain double
-    determinant.  Kept as a measurement; see verify_det_variants."""
-    matrix = shifted_matrix(irrep, natural_sigma(irrep.degree, sigma), Fraction(shift_constant))
-    return doubledet(matrix)
-
-
 def verify_det_variants(irrep: Irrep) -> Report:
     """Row determinant must reproduce the Capelli element exactly.
 
@@ -311,28 +270,17 @@ def verify_det_variants(irrep: Irrep) -> Report:
     against candidate shift constants 1 and alpha, per shift permutation,
     and the outcomes recorded: the positioned reading matches at alpha for
     every permutation and every irrep, the matrix reading only in degree 1.
-
-    Each reading is expanded once per permutation, at c = 0, and the
-    candidates are read off by substitution: P_c(z) = P_0(z + c).  In both
-    readings c enters only through the diagonal terms d_i * 1 - (z + c),
-    every other factor is free of z and c, and z and c are central, so the
-    expansion at c is the expansion at 0 with z + c written for z;
-    `ZPoly.shift` makes that substitution exactly.  The two builders above
-    still take c directly and serve as the oracle for this step.
+    `shift_variants` expands each reading once, at c = 0, and each
+    candidate is read off that expansion by `ZPoly.shift`.
     """
     report = Report()
     reference = capelli_element(irrep).poly
-    m = irrep.degree
-
-    row_variant = rowdet(shifted_matrix(irrep, natural_star(m)))
+    row_variant, variants = shift_variants(E_matrix(irrep), irrep.alpha, _one(irrep))
     report.add("rowdet-variant", irrep.label, row_variant == reference)
 
     candidates = {"1": Fraction(1), "alpha": Fraction(irrep.alpha)}
-    readings = [("doubledet-positioned", positioned_double_det),
-                ("doubledet-matrix", matrix_attached_double_det)]
-    for sigma in permutations(range(1, m + 1)):
-        for name, expand in readings:
-            at_zero = expand(irrep, sigma, 0)
+    for sigma, positioned, attached in variants:
+        for name, at_zero in (("doubledet-positioned", positioned), ("doubledet-matrix", attached)):
             matching = [lbl for lbl, c in candidates.items() if at_zero.shift(c) == reference]
             report.measure(
                 name, f"{irrep.label}#sigma={sigma}",

@@ -15,8 +15,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .capelli import (
@@ -35,6 +33,7 @@ from .groups import DEFAULT_ORDER_LIMIT, ClosureTooLarge, Group, load_group
 from .irreps import IrrepSet, load_irrep, validate, verify_E_basis, verify_schur_products
 from .reports import CheckResult, Report
 from .weyl import (
+    GENERIC_ALPHAS,
     GENERIC_SIZE_LIMIT,
     THEOREM_M_LIMIT,
     build_generic,
@@ -44,22 +43,6 @@ from .weyl import (
     verify_rep_identity,
     verify_rep_relations,
 )
-
-GENERIC_ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
-
-
-@dataclass
-class RunConfig:
-    group: str | None = None
-    group_file: str | None = None
-    irrep: str | None = None
-    irrep_file: str | None = None
-    checks: list[str] = field(default_factory=list)
-    at: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    max_order: int = DEFAULT_ORDER_LIMIT
-
 
 # -- check registry -------------------------------------------------------------
 
@@ -169,27 +152,38 @@ def run_checks(irrep_set: IrrepSet, names):
 # -- selector resolution -----------------------------------------------------------
 
 
-def resolve_group(config: RunConfig) -> Group:
-    if config.group_file:
+def _max_order() -> int:
+    """The group order limit: CAPELLI_LAB_MAX_ORDER, or the default when
+    unset; exit 2 when it is not an integer."""
+    raw_limit = os.environ.get("CAPELLI_LAB_MAX_ORDER", "")
+    try:
+        return int(raw_limit) if raw_limit else DEFAULT_ORDER_LIMIT
+    except ValueError:
+        print(f"error: CAPELLI_LAB_MAX_ORDER={raw_limit!r} is not an integer", file=sys.stderr)
+        sys.exit(2)
+
+
+def resolve_group(args, max_order: int) -> Group:
+    if args.group_file:
         try:
-            return load_group(config.group_file, config.max_order)
+            return load_group(args.group_file, max_order)
         except ClosureTooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load group file: {exc}", file=sys.stderr)
             sys.exit(2)
-    if config.group in catalog_names():
-        return catalog_group(config.group)
-    print(f"error: unknown group {config.group!r}; try one of {', '.join(catalog_names())}",
+    if args.group in catalog_names():
+        return catalog_group(args.group)
+    print(f"error: unknown group {args.group!r}; try one of {', '.join(catalog_names())}",
           file=sys.stderr)
     sys.exit(2)
 
 
-def resolve_irreps(config: RunConfig, group: Group) -> IrrepSet:
-    if config.irrep_file:
+def resolve_irreps(args, group: Group) -> IrrepSet:
+    if args.irrep_file:
         try:
-            irrep = load_irrep(config.irrep_file, group)
+            irrep = load_irrep(args.irrep_file, group)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load irrep file: {exc}", file=sys.stderr)
             sys.exit(3)
@@ -199,16 +193,16 @@ def resolve_irreps(config: RunConfig, group: Group) -> IrrepSet:
             print(str(report), file=sys.stderr)
             sys.exit(3)
         return IrrepSet(group, (irrep,))
-    if config.group_file:
+    if args.group_file:
         print("error: a group file needs --irrep-file for its irreps", file=sys.stderr)
         sys.exit(2)
-    irrep_set = catalog_irreps(config.group)
-    if config.irrep:
+    irrep_set = catalog_irreps(args.group)
+    if args.irrep:
         try:
-            return IrrepSet(group, (irrep_set.by_label(config.irrep),))
+            return IrrepSet(group, (irrep_set.by_label(args.irrep),))
         except KeyError:
             labels = ", ".join(r.label for r in irrep_set.irreps)
-            print(f"error: unknown irrep {config.irrep!r}; available: {labels}", file=sys.stderr)
+            print(f"error: unknown irrep {args.irrep!r}; available: {labels}", file=sys.stderr)
             sys.exit(2)
     return irrep_set
 
@@ -240,41 +234,41 @@ def _check_at_renders(at, degree):
 
 
 def cmd_capelli(args) -> int:
-    config = _config_from(args)
+    max_order = _max_order()
     try:  # the scalar-file coefficient grammar, whose integer parse bounds the digits
-        at = None if config.at is None else Cyclo.from_dict(
-            {"conductor": 1, "coeffs": [config.at]}).as_rational()
+        at = None if args.at is None else Cyclo.from_dict(
+            {"conductor": 1, "coeffs": [args.at]}).as_rational()
     except ValueError:
-        print(f"error: --at {config.at!r} is not a rational 'p' or 'p/q' with q > 0", file=sys.stderr)
+        print(f"error: --at {args.at!r} is not a rational 'p' or 'p/q' with q > 0", file=sys.stderr)
         sys.exit(2)
-    group = resolve_group(config)
-    irrep_set = resolve_irreps(config, group)
+    group = resolve_group(args, max_order)
+    irrep_set = resolve_irreps(args, group)
     if at is not None:
         _check_at_renders(at, max(irrep.degree for irrep in irrep_set.irreps))
     payload = []
     for irrep in irrep_set.irreps:
         element = capelli_element(irrep)
-        if config.at is not None:
+        if args.at is not None:
             value = element.poly(at)
             rendered = str(value)
-            payload.append({"irrep": irrep.label, "at": str(config.at), "value": rendered})
+            payload.append({"irrep": irrep.label, "at": str(args.at), "value": rendered})
         else:
             rendered = render_capelli(element.poly)
             payload.append({"irrep": irrep.label, "capelli": rendered})
-        if config.fmt == "text":
-            tag = f" at z={config.at}" if config.at is not None else "(z)"
+        if args.format == "text":
+            tag = f" at z={args.at}" if args.at is not None else "(z)"
             print(f"C^{irrep.label}{tag} = {rendered}")
-    if config.fmt == "json":
+    if args.format == "json":
         _emit({"tool": "capelli-lab", "version": __version__, "group": group.name,
-               "elements": payload}, config.out)
+               "elements": payload}, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    config = _config_from(args)
-    requested = _parse_checks(config.checks)
-    group = resolve_group(config)
-    irrep_set = resolve_irreps(config, group)
+    max_order = _max_order()
+    requested = _parse_checks(args.checks)
+    group = resolve_group(args, max_order)
+    irrep_set = resolve_irreps(args, group)
 
     t_total = time.monotonic()
     results = [row for _, _, rows in run_checks(irrep_set, requested) for row in rows]
@@ -290,9 +284,9 @@ def cmd_verify(args) -> int:
         "runtime_ms": int((time.monotonic() - t_total) * 1000),
     }
 
-    if config.fmt == "json" or config.out:
-        _emit(payload, config.out)
-    if config.fmt == "text":
+    if args.format == "json" or args.out:
+        _emit(payload, args.out)
+    if args.format == "text":
         for r in payload["results"]:
             detail = f"  {r['detail']}" if r["detail"] else ""
             print(f"[{r['status']:>8}] {r['name']:14} {r['check']:24} ({r['irrep']}){detail}")
@@ -313,26 +307,6 @@ def _parse_checks(tokens) -> list[str]:
         print(f"error: unknown checks {unknown}; available: {', '.join(CHECKS)}", file=sys.stderr)
         sys.exit(2)
     return names
-
-
-def _config_from(args) -> RunConfig:
-    raw_limit = os.environ.get("CAPELLI_LAB_MAX_ORDER", "")
-    try:
-        max_order = int(raw_limit) if raw_limit else DEFAULT_ORDER_LIMIT
-    except ValueError:
-        print(f"error: CAPELLI_LAB_MAX_ORDER={raw_limit!r} is not an integer", file=sys.stderr)
-        sys.exit(2)
-    return RunConfig(
-        group=getattr(args, "group", None),
-        group_file=getattr(args, "group_file", None),
-        irrep=getattr(args, "irrep", None),
-        irrep_file=getattr(args, "irrep_file", None),
-        checks=getattr(args, "checks", []) or [],
-        at=getattr(args, "at", None),
-        fmt=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        max_order=max_order,
-    )
 
 
 def _emit(payload, out_path):
@@ -360,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--at", help="evaluate at z = K: an integer or p/q, q > 0 (e.g. -1 or 3/2)")
     p_cap.add_argument("--format", choices=("text", "json"), default="text")
     p_cap.add_argument("--out", help="write JSON payload to this path")
+    p_cap.set_defaults(group_file=None, irrep_file=None)
 
     p_ver = sub.add_parser("verify", help="run verification checks and emit a report")
     src = p_ver.add_mutually_exclusive_group(required=True)

@@ -61,10 +61,11 @@ def rank(matrix) -> int:
     return _gauss_jordan([list(r) for r in matrix], len(matrix[0]))
 
 
-def p_family(m: int, conductor: int) -> list[list[list[Cyclo]]]:
-    """Permutation matrices plus one transvection: generates the general
-    linear group, so conjugation checks over this family are meaningful
-    coverage without random search."""
+def p_family(m: int, conductor: int) -> list[tuple[list[list[Cyclo]], list[list[Cyclo]]]]:
+    """Permutation matrices plus one transvection, as (P, P^-1) pairs with
+    each inverse from `mat_inverse`: generates the general linear group,
+    so conjugation checks over this family are meaningful coverage
+    without random search."""
     from itertools import permutations
 
     family = []
@@ -76,7 +77,7 @@ def p_family(m: int, conductor: int) -> list[list[list[Cyclo]]]:
         transvection = [[one if i == j else zero for j in range(m)] for i in range(m)]
         transvection[0][1] = one
         family.append(transvection)
-    return family
+    return [(p, mat_inverse(p)) for p in family]
 
 
 def mat_inverse(matrix) -> list[list[Cyclo]]:

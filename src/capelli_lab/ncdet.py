@@ -13,13 +13,15 @@ The shifted, conjugated and double-determinant builders are written once
 here for any such ring, and serve the group algebra (capelli) and the
 Weyl algebra (weyl) alike: the Capelli element of an irrep and the
 operator Capelli determinant are the same `capelli_zpoly` of different
-matrices.
+matrices, their conjugation checks the same `conjugated_capelli_zpolys`,
+and their row and double determinant variants the same `shift_variants`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 
 class SizeLimit(ValueError):
@@ -348,9 +350,42 @@ def conjugate(matrix, p, p_inv):
     return out
 
 
-def positioned_shift_doubledet(matrix, diag, c, one):
-    """positioned_doubledet of M over z-polynomials, factor position i of
-    each diagonal entry picking up (d_i - c) * one - z."""
-    lifted = [[ZPoly([entry]) for entry in row] for row in matrix]
+def conjugated_capelli_zpolys(matrix, alpha, one, family):
+    """capelli_zpoly of P * M * P^-1 for each (P, P^-1) pair in `family`,
+    in order: the conjugation checks of both rings."""
+    return [capelli_zpoly(conjugate(matrix, p, p_inv), alpha, one) for p, p_inv in family]
+
+
+def shift_variants(matrix, alpha, one):
+    """The determinant variants of the Capelli determinant, as
+    z-polynomials at shift constant c = 0.
+
+    Returns (row, variants).  row is the row determinant of
+    M + alpha * (0, ..., m-1) - zI.  variants holds, for each sigma in S_m
+    in `permutations` order, (sigma, positioned, attached): the double
+    determinant with the shifts alpha * (sigma(m), ..., sigma(1)) and -z
+    attached to the factor positions (`positioned_doubledet`), and the
+    plain double determinant of M + alpha * diag(sigma(m), ..., sigma(1))
+    - zI, with the shifts baked into the matrix.
+
+    A shift constant c is read off these expansions, not expanded again:
+    P_c(z) = P_0(z + c).  In every reading c enters only through the
+    diagonal terms d_i * one - (z + c), every other factor is free of z
+    and c, and z and c are central, so the expansion at c is the
+    expansion at 0 with z + c written for z.  `ZPoly.shift` makes that
+    substitution exactly.
+    """
+    m = len(matrix)
+
+    def minus_z_shifted(shift):
+        return minus_z(add_diagonal(matrix, shift, one), one)
+
+    row = rowdet(minus_z_shifted([alpha * d for d in natural_star(m)]))
+    lifted = [[ZPoly([entry]) for entry in line] for line in matrix]
     minus_one = -one
-    return positioned_doubledet(lifted, [ZPoly([(d - c) * one, minus_one]) for d in diag])
+    variants = []
+    for sigma in permutations(range(1, m + 1)):
+        shift = [alpha * d for d in natural_sigma(m, sigma)]
+        positioned = positioned_doubledet(lifted, [ZPoly([d * one, minus_one]) for d in shift])
+        variants.append((sigma, positioned, doubledet(minus_z_shifted(shift))))
+    return row, variants

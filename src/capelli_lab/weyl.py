@@ -27,7 +27,9 @@ x_ij -> X_ij, d_ij -> D_ij that the relations define (`verify_rep_identity`).
 
 The Capelli determinants of Pi (shifted, conjugated, row, column and
 double) are built by the ring-generic functions in ncdet, the same ones
-the group-algebra side applies to its E matrix.
+the group-algebra side applies to its E matrix; `verify_det_equalities`
+reads its shift constant c = 1 off the c = 0 expansions of
+`ncdet.shift_variants`, as `capelli.verify_det_variants` reads 1 and alpha.
 """
 
 from __future__ import annotations
@@ -35,29 +37,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import islice, product
 
 from . import linalg, ncdet
 from .cyclo import Cyclo
 from .irreps import Irrep
-from .ncdet import (
-    SizeLimit,
-    ZPoly,
-    add_diagonal,
-    coldet,
-    conjugate,
-    doubledet,
-    minus_z,
-    natural_shift,
-    natural_sigma,
-    natural_star,
-    positioned_shift_doubledet,
-    rowdet,
-)
+from .ncdet import SizeLimit, ZPoly, add_diagonal, coldet, natural_shift
 from .reports import CheckResult, Report
 
 GENERIC_SIZE_LIMIT = 3
 THEOREM_M_LIMIT = 2
+# the sample alphas of the generic identities (weyl-capelli, weyl-central)
+GENERIC_ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
 
 class ContextMismatch(ValueError):
@@ -528,9 +519,10 @@ def verify_capelli_properties(pi, alpha, label="generic") -> Report:
             break
     report.add("capelli-central", label, ok, witness)
 
-    for idx, p in enumerate(linalg.p_family(m, ctx.conductor)):
-        got = capelli_zpoly(conjugate(pi, p, linalg.mat_inverse(p)), alpha)
-        report.add("capelli-conjugation", f"{label}#P{idx}", got == cz)
+    family = linalg.p_family(m, ctx.conductor)
+    got = ncdet.conjugated_capelli_zpolys(pi, Fraction(alpha), WeylOp.one(ctx), family)
+    for idx, poly in enumerate(got):
+        report.add("capelli-conjugation", f"{label}#P{idx}", poly == cz)
     return report
 
 
@@ -547,25 +539,25 @@ def verify_det_equalities(m: int) -> Report:
     z + 1.  The other parse of the double form, with the shift pattern
     baked into the matrix before the double sum, coincides in size 1 but
     differs by a multiple of Pi_11 - Pi_22 in size 2; it is evaluated and
-    recorded as a measurement so the difference is visible.
+    recorded as a measurement so the difference is visible.  Both double
+    forms come from `ncdet.shift_variants` at c = 0 and are read at z + 1
+    by `ZPoly.shift`.
     """
     if m > THEOREM_M_LIMIT:
         raise SizeLimit(f"double determinant over operators limited to size {THEOREM_M_LIMIT}")
     report = Report()
     alpha = Fraction(1)
     ctx, _, _, pi = build_generic(m, alpha)
-    one = WeylOp.one(ctx)
 
     cd = capelli_zpoly(pi, alpha)
-    rd = rowdet(minus_z(add_diagonal(pi, [alpha * d for d in natural_star(m)], one), one))
+    rd, variants = ncdet.shift_variants(pi, alpha, WeylOp.one(ctx))
     report.add("coldet-eq-rowdet", f"m={m}", cd == rd)
 
-    for sigma in permutations(range(1, m + 1)):
-        shift = [alpha * d for d in natural_sigma(m, sigma)]
-        dd = positioned_shift_doubledet(pi, shift, Fraction(1), one)
+    for sigma, positioned, attached in variants:
+        dd = positioned.shift(1)
         report.add("doubledet-positioned", f"m={m} sigma={sigma}", dd == cd,
                    "" if dd == cd else f"difference {dd - cd}")
-        naive = doubledet(minus_z(add_diagonal(pi, [d - 1 for d in shift], one), one))
+        naive = attached.shift(1)
         report.measure(
             "doubledet-matrix", f"m={m} sigma={sigma}",
             "matches coldet" if naive == cd else f"differs by {naive - cd}",

@@ -5,8 +5,9 @@ implementation: permutation composition from scratch, polynomial
 reduction from scratch, group-table line checks as first written,
 convolution straight off the definition, the Leibniz determinant and the
 double determinant as permutation sums, a free-word ring, a direct
-differential-action evaluator, and irrep validation by one matrix
-product per pair.  Tests compare package output against these.
+differential-action evaluator, irrep validation by one matrix
+product per pair, and the determinant variants built directly at a shift
+constant c.  Tests compare package output against these.
 """
 
 import math
@@ -15,9 +16,22 @@ from functools import lru_cache
 from itertools import permutations
 
 from capelli_lab import linalg
+from capelli_lab.algebra import AlgebraElement
 from capelli_lab.cyclo import Cyclo
 from capelli_lab.groups import NotAGroup
+from capelli_lab.irreps import E_matrix
+from capelli_lab.ncdet import (
+    ZPoly,
+    add_diagonal,
+    doubledet,
+    minus_z,
+    natural_sigma,
+    natural_star,
+    positioned_doubledet,
+    rowdet,
+)
 from capelli_lab.reports import Report
+from capelli_lab.weyl import WeylOp, build_generic, capelli_zpoly
 
 
 # -- permutations (1-based one-line notation) --------------------------------
@@ -369,3 +383,71 @@ def character_inner_product_per_element(a, b):
     for g in range(group.order):
         acc = acc + a.character(g).promote(target) * b.character(g).promote(target).conjugate()
     return Fraction(1, group.order) * acc
+
+
+# -- determinant variants built directly at a shift constant c -----------------------------
+#
+# ncdet.shift_variants expands each variant once, at c = 0, and its callers
+# read c off by ZPoly.shift; these build each variant at c itself, as the
+# package did before.
+
+
+def positioned_shift_doubledet(matrix, diag, c, one):
+    """positioned_doubledet of M over z-polynomials, factor position i of
+    each diagonal entry picking up (d_i - c) * one - z."""
+    lifted = [[ZPoly([entry]) for entry in row] for row in matrix]
+    minus_one = -one
+    return positioned_doubledet(lifted, [ZPoly([(d - c) * one, minus_one]) for d in diag])
+
+
+def _algebra_one(irrep):
+    return AlgebraElement.identity(irrep.group, irrep.conductor)
+
+
+def shifted_matrix(irrep, diag, z_shift=Fraction(0)):
+    """E + alpha*diag(...) - (z + z_shift) I over z-polynomials with
+    algebra-element coefficients."""
+    one = _algebra_one(irrep)
+    shift = [irrep.alpha * d - z_shift for d in diag]
+    return minus_z(add_diagonal(E_matrix(irrep), shift, one), one)
+
+
+def positioned_double_det(irrep, sigma, shift_constant):
+    """Double determinant of E with alpha * (sigma(m), ..., sigma(1))
+    attached to the factor positions, each diagonal hit also picking up
+    -(z + c)."""
+    shift = [irrep.alpha * d for d in natural_sigma(irrep.degree, sigma)]
+    return positioned_shift_doubledet(E_matrix(irrep), shift, Fraction(shift_constant),
+                                      _algebra_one(irrep))
+
+
+def matrix_attached_double_det(irrep, sigma, shift_constant):
+    """Plain double determinant of E + alpha * diag(sigma(m), ..., sigma(1))
+    - (z + c) I."""
+    return doubledet(shifted_matrix(irrep, natural_sigma(irrep.degree, sigma),
+                                    Fraction(shift_constant)))
+
+
+def det_equalities_direct(m):
+    """weyl.verify_det_equalities(m) with both double determinants built
+    at c = 1 rather than read off the c = 0 expansion: the same rows."""
+    report = Report()
+    alpha = Fraction(1)
+    ctx, _, _, pi = build_generic(m, alpha)
+    one = WeylOp.one(ctx)
+
+    cd = capelli_zpoly(pi, alpha)
+    rd = rowdet(minus_z(add_diagonal(pi, [alpha * d for d in natural_star(m)], one), one))
+    report.add("coldet-eq-rowdet", f"m={m}", cd == rd)
+
+    for sigma in permutations(range(1, m + 1)):
+        shift = [alpha * d for d in natural_sigma(m, sigma)]
+        dd = positioned_shift_doubledet(pi, shift, Fraction(1), one)
+        report.add("doubledet-positioned", f"m={m} sigma={sigma}", dd == cd,
+                   "" if dd == cd else f"difference {dd - cd}")
+        naive = doubledet(minus_z(add_diagonal(pi, [d - 1 for d in shift], one), one))
+        report.measure(
+            "doubledet-matrix", f"m={m} sigma={sigma}",
+            "matches coldet" if naive == cd else f"differs by {naive - cd}",
+        )
+    return report

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import capelli_lab
@@ -28,6 +27,7 @@ from capelli_lab.capelli import (
 from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.groups import conjugacy_classes
 from capelli_lab.weyl import (
+    GENERIC_ALPHAS,
     build_generic,
     build_rep,
     transpose_product,
@@ -38,8 +38,6 @@ from capelli_lab.weyl import (
     verify_rep_identity,
     verify_rep_relations,
 )
-
-GENERIC_ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
 
 def _finish(number, name, started, budget_seconds):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -16,10 +17,7 @@ from capelli_lab.capelli import (
     center_basis,
     character_basis,
     choose_k,
-    matrix_attached_double_det,
-    positioned_double_det,
     render_capelli,
-    shifted_matrix,
     u_factor,
     u_product,
     verify_centrality,
@@ -31,8 +29,14 @@ from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
 from capelli_lab.groups import conjugacy_classes, group_from_dict
 from capelli_lab.irreps import E_matrix, irrep_from_dict
-from capelli_lab.ncdet import ZPoly, natural_sigma
-from helpers import double_sum_by_permutations, naive_convolve
+from capelli_lab.ncdet import ZPoly, natural_sigma, natural_star, rowdet, shift_variants
+from helpers import (
+    double_sum_by_permutations,
+    matrix_attached_double_det,
+    naive_convolve,
+    positioned_double_det,
+    shifted_matrix,
+)
 
 S3 = catalog_irreps("S3")
 STD = S3.by_label("std")
@@ -235,6 +239,14 @@ def test_conjugation_invariance_transvection_q8():
     assert verify_conjugation_invariance(q8std, p).ok
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_p_family_pairs_are_inverse(m):
+    family = linalg.p_family(m, 3)
+    assert len(family) == math.factorial(m) + (m >= 2)
+    for p, p_inv in family:
+        assert linalg.mat_mul(p, p_inv) == linalg.identity_matrix(m, 3)
+
+
 def test_conjugation_rejects_singular_p():
     p = [[Cyclo.zero(6), Cyclo.zero(6)], [Cyclo.zero(6), Cyclo.zero(6)]]
     with pytest.raises(linalg.SingularMatrix):
@@ -414,13 +426,21 @@ def _shift_oracle_irreps():
                 yield pytest.param(irrep, id=f"{name}/{irrep.label}")
 
 
+def _variants(irrep):
+    one = AlgebraElement.identity(irrep.group, irrep.conductor)
+    return shift_variants(E_matrix(irrep), irrep.alpha, one)
+
+
 @pytest.mark.parametrize("irrep", _shift_oracle_irreps())
 def test_double_dets_at_zero_shifted_match_direct_expansion(irrep):
     # verify_det_variants reads both candidates off the c = 0 expansion
-    for sigma in permutations(range(1, irrep.degree + 1)):
-        for expand in (positioned_double_det, matrix_attached_double_det):
-            at_zero = expand(irrep, sigma, 0)
-            for c in (Fraction(1), Fraction(irrep.alpha)):
+    row, variants = _variants(irrep)
+    assert row == rowdet(shifted_matrix(irrep, natural_star(irrep.degree)))
+    assert [sigma for sigma, _, _ in variants] == list(permutations(range(1, irrep.degree + 1)))
+    for sigma, positioned, attached in variants:
+        for at_zero, expand in ((positioned, positioned_double_det),
+                                (attached, matrix_attached_double_det)):
+            for c in (Fraction(0), Fraction(1), Fraction(irrep.alpha)):
                 assert at_zero.shift(c) == expand(irrep, sigma, c), (expand.__name__, sigma, c)
 
 
@@ -428,12 +448,13 @@ def test_a4_double_dets_at_zero_match_permutation_sums():
     irrep = catalog_irreps("A4").by_label("std")
     one = AlgebraElement.identity(irrep.group, irrep.conductor)
     lifted = [[ZPoly([entry]) for entry in row] for row in E_matrix(irrep)]
-    for sigma in permutations(range(1, irrep.degree + 1)):
+    _, variants = _variants(irrep)
+    for sigma, at_zero, attached_at_zero in variants:
         diag = natural_sigma(irrep.degree, sigma)
         positioned = [ZPoly([irrep.alpha * d * one, -one]) for d in diag]
-        assert positioned_double_det(irrep, sigma, 0) == double_sum_by_permutations(lifted, positioned)
+        assert at_zero == double_sum_by_permutations(lifted, positioned)
         attached = shifted_matrix(irrep, diag)
-        assert matrix_attached_double_det(irrep, sigma, 0) == double_sum_by_permutations(attached)
+        assert attached_at_zero == double_sum_by_permutations(attached)
 
 
 # -- verifiers must be able to fail ---------------------------------------------------------

@@ -290,6 +290,19 @@ def test_group_file_without_irrep_file_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("capelli", "--group", "S3"),
+    ("capelli", "--group", "S3", "--at", "1"),
+    ("verify", "--group", "S3", "--checks", "closed-form"),
+], ids=["capelli", "capelli-at", "verify"])
+def test_malformed_order_limit_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CAPELLI_LAB_MAX_ORDER", "ten")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+    assert "CAPELLI_LAB_MAX_ORDER='ten' is not an integer" in capsys.readouterr().err
+
+
 def test_order_limit_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAPELLI_LAB_MAX_ORDER", "4")
     group_path = tmp_path / "s3.json"
@@ -403,6 +416,16 @@ def test_raising_check_is_a_fail_row_in_verify_and_sweep(tmp_path, capsys, monke
     swept = json.loads(sweep_out.read_text())["results"]
     assert [(r["group"], r["status"]) for r in swept if r["name"] == "closed-form"] == [
         ("C1", "fail"), ("C2", "fail")]
+
+
+def test_sweep_refuses_unknown_group_before_any_check(capsys):
+    sweep = _load_sweep()
+    sweep.run_checks = _crash
+    assert sweep.main(["--groups", "S3,S9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unknown groups ['S9']; try one of C1, C2" in captured.err
+    assert "S4" in captured.err
 
 
 def test_sweep_expect_names_the_first_differing_row(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from capelli_lab.ncdet import (
     capelli_zpoly,
     coldet,
     conjugate,
+    conjugated_capelli_zpolys,
     doubledet,
     natural_shift,
     natural_sigma,
     natural_star,
     positioned_doubledet,
     rowdet,
+    shift_variants,
 )
 from capelli_lab.weyl import WeylContext, WeylOp
 from helpers import FreeWord, _perm_sign, double_sum_by_permutations, leibniz_det
@@ -312,3 +315,42 @@ def test_free_word_product_counts(monkeypatch, m, column_products, double_produc
     assert count(rowdet, matrix) == column_products
     assert count(doubledet, matrix) == double_products
     assert count(positioned_doubledet, matrix, diagonal_terms) == double_products
+
+
+# -- the determinant variants at c = 0, read at any c by ZPoly.shift -----------------
+
+
+def _minus_z_at(matrix, shift, c, one):
+    """M + diag(shift) - (z + c) I, entry by entry."""
+    return [[ZPoly([entry + (shift[i] - c) * one, -one]) if i == j else ZPoly([entry])
+             for j, entry in enumerate(row)] for i, row in enumerate(matrix)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(3, 2)])
+def test_shift_variants_match_permutation_sums_at_any_c(m, alpha):
+    matrix = [[FreeWord.symbol(f"a{i}{j}") for j in range(m)] for i in range(m)]
+    one = FreeWord.const(1)
+    row, variants = shift_variants(matrix, alpha, one)
+    assert [sigma for sigma, _, _ in variants] == list(permutations(range(1, m + 1)))
+    lifted = [[ZPoly([entry]) for entry in line] for line in matrix]
+    star = [alpha * d for d in natural_star(m)]
+    for c in (Fraction(0), Fraction(-2, 3)):
+        assert row.shift(c) == leibniz_det(_transpose(_minus_z_at(matrix, star, c, one)))
+        for sigma, positioned, attached in variants:
+            shift = [alpha * d for d in natural_sigma(m, sigma)]
+            terms = [ZPoly([(d - c) * one, -one]) for d in shift]
+            assert positioned.shift(c) == double_sum_by_permutations(lifted, terms), (sigma, c)
+            assert attached.shift(c) == double_sum_by_permutations(
+                _minus_z_at(matrix, shift, c, one)), (sigma, c)
+
+
+def test_conjugated_capelli_zpolys_follow_the_family_order():
+    a, b, c, d = words("a", "b", "c", "d")
+    one = FreeWord.const(1)
+    swap = [[0, 1], [1, 0]]
+    identity = [[1, 0], [0, 1]]
+    matrix = [[a, b], [c, d]]
+    got = conjugated_capelli_zpolys(matrix, Fraction(2), one, [(identity, identity), (swap, swap)])
+    assert got == [capelli_zpoly(matrix, Fraction(2), one),
+                   capelli_zpoly([[d, c], [b, a]], Fraction(2), one)]

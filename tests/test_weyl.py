@@ -29,7 +29,7 @@ from capelli_lab.weyl import (
     verify_rep_identity,
     verify_rep_relations,
 )
-from helpers import act
+from helpers import act, det_equalities_direct
 
 ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
@@ -326,6 +326,12 @@ def test_det_equalities_m2():
     naive = [r for r in report.results if r.check == "doubledet-matrix"]
     assert len(naive) == 2
     assert all(r.status == "measured" and r.detail.startswith("differs by") for r in naive)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_det_equalities_match_direct_build_at_one(m):
+    # the rows read c = 1 off the c = 0 expansions; the oracle expands at c = 1
+    assert verify_det_equalities(m).results == det_equalities_direct(m).results
 
 
 def test_det_equalities_size_limit():
