@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Run the standing mutants of the fast paths: each must be killed.
+
+A fast path is tested against its oracle; a mutant is a small wrong edit
+of the fast path that those tests must catch.  Each entry of MUTANTS
+gives a file, an exact source snippet that occurs once in it, the
+replacement, and the tests that must each fail with the replacement in
+place.  For each entry the tree is copied to a temporary directory, the
+one replacement is made there, and every named test is run with pytest;
+the working tree is never written.
+
+    python scripts/mutants.py
+
+Prints one line per mutant.  Exit 0 when every named test fails under its
+mutant; exit 1 when a test passes (the mutant survives), when a test run
+ends in anything but test failures (an error, or no test collected), or
+when a snippet no longer occurs exactly once, so that a refactor of a
+fast path has to update this list.  Each test run is a pytest process,
+so this is not part of the Tier-1 suite; tests/test_mutants.py checks
+the snippets only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                ".benchmarks", "*.egg-info")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = (
+    # the Weyl relations as orthogonality sums of matrix coefficients
+    Mutant(
+        "conjugation-dropped", "src/capelli_lab/irreps.py",
+        "conj = [_substitute_lists(ys, conductor - 1, conductor, rows) for ys in ys_values]",
+        "conj = ys_values",
+        ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",
+         "tests/test_irreps.py::test_character_inner_product_matches_per_element_oracle"),
+    ),
+    Mutant(
+        "relation-target-without-denominator", "src/capelli_lab/weyl.py",
+        "target = alpha * den * den if (i, j) == (k, l) else 0",
+        "target = alpha if (i, j) == (k, l) else 0",
+        ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",
+         "tests/test_weyl.py::test_rep_relation_mutants_fail_where_expected"),
+    ),
+    Mutant(
+        "relation-last-witness", "src/capelli_lab/weyl.py",
+        "            witness = str((i, j, k, l))\n            break\n",
+        "            witness = str((i, j, k, l))\n",
+        ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",),
+    ),
+    # one determinant-variant routine for both rings
+    Mutant(
+        "shift-variants-diagonal-perturbed", "src/capelli_lab/ncdet.py",
+        "[ZPoly([d * one, minus_one]) for d in shift]",
+        "[ZPoly([(d + 1) * one, minus_one]) for d in shift]",
+        ("tests/test_ncdet.py::test_shift_variants_match_permutation_sums_at_any_c",
+         "tests/test_weyl.py::test_det_equalities_match_direct_build_at_one"),
+    ),
+    # the prefix-sharing expansion behind coldet and the double determinants
+    Mutant(
+        "expand-left-multiplication", "src/capelli_lab/ncdet.py",
+        "term = entry if acc is None else acc * entry",
+        "term = entry if acc is None else entry * acc",
+        ("tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums",),
+    ),
+    Mutant(
+        "expand-column-sign-dropped", "src/capelli_lab/ncdet.py",
+        "col_odd = (cols >> c).bit_count() & 1",
+        "col_odd = 0",
+        ("tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums",),
+    ),
+    Mutant(
+        "expand-diagonal-term-wrong-position", "src/capelli_lab/ncdet.py",
+        "shift = diagonal_terms[k]",
+        "shift = diagonal_terms[m - 1 - k]",
+        ("tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums",),
+    ),
+    Mutant(
+        "expand-every-sign-flipped", "src/capelli_lab/ncdet.py",
+        "odd = ((rows >> r).bit_count() + col_odd) & 1",
+        "odd = ((rows >> r).bit_count() + col_odd + 1) & 1",
+        ("tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums",
+         "tests/test_ncdet.py::test_doubledet_1x1"),
+    ),
+)
+
+
+def snippet_count(mutant: Mutant) -> int:
+    return (ROOT / mutant.path).read_text().count(mutant.snippet)
+
+
+def run_mutant(mutant: Mutant) -> list[str]:
+    """The problems with one mutant, empty when every named test fails."""
+    count = snippet_count(mutant)
+    if count != 1:
+        return [f"snippet occurs {count} times in {mutant.path}"]
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="capelli-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        target = tree / mutant.path
+        target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        for test in mutant.tests:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+                cwd=tree, env=env, capture_output=True, text=True)
+            if done.returncode == 0:
+                problems.append(f"survives {test}")
+            elif done.returncode != 1:  # 1 is "tests failed"; anything else is no verdict
+                tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+                problems.append(f"{test} ended with exit {done.returncode}: {' '.join(tail)}")
+    return problems
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        problems = run_mutant(mutant)
+        print(f"{mutant.name:40} " + ("killed" if not problems else "; ".join(problems)),
+              flush=True)
+        failed += bool(problems)
+    print(f"\n{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

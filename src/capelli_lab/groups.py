@@ -78,12 +78,6 @@ class ClassPartition:
     def count(self) -> int:
         return len(self.classes)
 
-    def class_of(self, g: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if g in cls:
-                return i
-        raise ValueError(f"element {g} not in partition")
-
 
 def build_group_from_table(name, element_names, table) -> Group:
     n = len(table)

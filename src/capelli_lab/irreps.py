@@ -8,8 +8,9 @@ Complete sets are additionally checked for the degree-square sum and
 pairwise character orthogonality.  Nothing is ever repaired: invalid
 input is rejected.
 
-Validation and the character inner product work on the whole group at
-once, in integer coordinates: with D the lcm of the entry denominators,
+Validation, the character inner product and the orthogonality sums of
+matrix coefficients (weyl.verify_rep_relations) work on the whole group
+at once, in integer coordinates: with D the lcm of the entry denominators,
 entry (i, j) becomes one list over g per power-basis index t < phi(N),
 holding the numerators of D * matrix(g)[i][j].  Every check is then an
 equality of integer lists built by scaling, adding and multiplying
@@ -284,15 +285,25 @@ def _first_difference(values, expected):
     return next(g for g, (x, y) in enumerate(zip(values, expected)) if x != y)
 
 
+def _conjugate_sums(xs_values, ys_values, conductor):
+    """[[S(x, y) for y in ys_values] for x in xs_values], with S(x, y) the
+    power-basis coordinates of the sum over g of x(g) * conj(y(g)).  Each
+    value is a function on the group as integer coordinate lists (per
+    power-basis index, the list over g), as _coordinates gives them;
+    conj is the substitution zeta -> zeta^(N-1), made once per y."""
+    rows = power_table(conductor)
+    conj = [_substitute_lists(ys, conductor - 1, conductor, rows) for ys in ys_values]
+    return [[[sum(values) for values in _products([(xs, cs)], rows)] for cs in conj]
+            for xs in xs_values]
+
+
 def character_inner_product(a: Irrep, b: Irrep) -> Cyclo:
     """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g)), summed over g on
     the integer coordinate lists of the two characters."""
     target = math.lcm(a.conductor, b.conductor)
-    rows = power_table(target)
     xs, dx = _character_coordinates(a, target)
     ys, dy = (xs, dx) if b is a else _character_coordinates(b, target)
-    conj = _substitute_lists(ys, target - 1, target, rows)
-    total = [sum(values) for values in _products([(xs, conj)], rows)]
+    [[total]] = _conjugate_sums([xs], [ys], target)
     return Cyclo(target, [Fraction(v, dx * dy * a.group.order) for v in total])
 
 
@@ -301,15 +312,6 @@ def _character_coordinates(irrep: Irrep, conductor: int):
     values = [irrep.character(g).promote(conductor) for g in range(irrep.group.order)]
     den = math.lcm(*{v.den for v in values})
     return _scaled_coordinates(values, den), den
-
-
-def equivalent(a: Irrep, b: Irrep) -> bool:
-    # character equality decides equivalence for irreps
-    target = math.lcm(a.conductor, b.conductor)
-    return a.degree == b.degree and all(
-        a.character(g).promote(target) == b.character(g).promote(target)
-        for g in range(a.group.order)
-    )
 
 
 def validate_complete(irrep_set: IrrepSet) -> Report:

@@ -16,14 +16,16 @@ comes first, so in a*b - b*a it cancels pair for pair; `commutator`
 never forms it, nor the pairs that have nothing else, and so never
 forms the two full products.
 
-Two variable layouts occur: an m x m grid of formal entries (the
-generic setting, any alpha), and one variable per group element (the
-representation setting, base alpha 1, where the matrix combinations
-X, D built from a unitary irrep satisfy the grid relations with
-alpha = group order / degree).  The representation side checks only
-those relations; its Pi relations and Capelli identity are the generic
-ones at (m, alpha = |G|/m), carried over by the homomorphism
-x_ij -> X_ij, d_ij -> D_ij that the relations define (`verify_rep_identity`).
+Every operator the package builds lives on an m x m grid of formal
+entries (the generic setting, any alpha; `build_generic`).  An irrep's
+X and D are combinations of one variable per group element at base
+alpha 1, and satisfy the grid relations with alpha = group order /
+degree; those relations are scalar orthogonality sums of its matrix
+coefficients, checked on integer coordinate lists without building an
+operator (`verify_rep_relations`).  Its Pi relations and Capelli
+identity are the generic ones at (m, alpha = |G|/m), carried over by the
+homomorphism x_ij -> X_ij, d_ij -> D_ij that the relations define
+(`verify_rep_identity`).
 
 The Capelli determinants of Pi (shifted, conjugated, row, column and
 double) are built by the ring-generic functions in ncdet, the same ones
@@ -41,7 +43,7 @@ from itertools import islice, product
 
 from . import linalg, ncdet
 from .cyclo import Cyclo
-from .irreps import Irrep
+from .irreps import Irrep, _conjugate_sums, _coordinates
 from .ncdet import SizeLimit, ZPoly, add_diagonal, coldet, natural_shift
 from .reports import CheckResult, Report
 
@@ -176,6 +178,8 @@ class WeylOp:
     def scale(self, scalar) -> "WeylOp":
         if isinstance(scalar, Cyclo):
             s = scalar.promote(self.context.conductor) if scalar.conductor != self.context.conductor else scalar
+        elif scalar == 1:
+            return self
         else:
             s = Cyclo.rational(scalar, self.context.conductor)
         if not s:
@@ -282,34 +286,6 @@ def _add_cross_terms(out: dict, left: WeylOp, right: WeylOp, negate: bool) -> No
             _add_reordered(out, alpha, ca * cb, xa, da, xb, db, hot, True)
 
 
-# -- action on commutative polynomials ------------------------------------------
-
-
-def apply_to_polynomial(op: WeylOp, poly: dict) -> dict:
-    """Act on a polynomial {x-multidegree: coefficient}, with each d
-    variable acting as alpha * d/dx.  A semantic cross-check of the
-    normal ordering, independent of operator multiplication."""
-    alpha = op.context.alpha
-    out: dict = {}
-    for (xd, dd), c in op.terms.items():
-        for pdeg, pc in poly.items():
-            if any(b > p for b, p in zip(dd, pdeg)):
-                continue
-            mult = Fraction(1)
-            for b, p in zip(dd, pdeg):
-                if b:
-                    mult *= _falling(p, b) * alpha**b
-            new = tuple(p - b + a for p, b, a in zip(pdeg, dd, xd))
-            coeff = c * pc * mult
-            cur = out.get(new)
-            acc = coeff if cur is None else cur + coeff
-            if acc:
-                out[new] = acc
-            elif cur is not None:
-                del out[new]
-    return out
-
-
 # -- matrix builders --------------------------------------------------------------
 
 
@@ -324,26 +300,6 @@ def build_generic(m: int, alpha) -> tuple[WeylContext, list, list, list]:
     dm = [[WeylOp.d(ctx, i * m + j) for j in range(m)] for i in range(m)]
     pi = transpose_product(ctx, xm, dm)
     return ctx, xm, dm, pi
-
-
-def build_rep(irrep: Irrep) -> tuple[WeylContext, list, list]:
-    """One variable per group element; X uses conjugated matrix entries,
-    D the plain ones."""
-    group = irrep.group
-    names = tuple(group.element_names)
-    ctx = WeylContext(names, Fraction(1), irrep.conductor)
-    m = irrep.degree
-    xm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
-    dm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
-    for g in range(group.order):
-        mat = irrep.matrices[g]
-        for i in range(m):
-            for j in range(m):
-                v = mat[i][j]
-                if v:
-                    xm[i][j] = xm[i][j] + WeylOp.x(ctx, g, v.conjugate())
-                    dm[i][j] = dm[i][j] + WeylOp.d(ctx, g, v)
-    return ctx, xm, dm
 
 
 def transpose_product(ctx, xm, dm):
@@ -367,35 +323,36 @@ def transpose_product(ctx, xm, dm):
 def verify_rep_relations(irrep: Irrep) -> Report:
     """[X,X] = 0, [D,D] = 0, [D_ij, X_kl] = (|G|/degree) delta delta.
 
-    The two vanishing checks run over unordered distinct pairs (the
-    commutator is antisymmetric and vanishes identically on equal
-    operands); the mixed relation runs over all index 4-tuples.
+    X_kl = sum over g of conj(matrix(g)_kl) * x_g and D_ij = sum over g of
+    matrix(g)_ij * d_g, with one variable per group element at base
+    alpha 1.  No operator is built.  The x_g commute with each other, and
+    so do the d_g, so X entries commute with X entries and D entries with
+    D entries whatever the matrices: the first two rows hold by
+    construction.  [d_g, x_h] = delta_gh makes [D_ij, X_kl] the scalar
+    sum over g of matrix(g)_ij * conj(matrix(g)_kl), the orthogonality
+    sum of matrix coefficients (Serre, Linear Representations of Finite
+    Groups, 2.2).  The m^4 sums are taken on the integer coordinate lists
+    of irreps._coordinates, all entries scaled by the common denominator
+    D, so the relation is an integer comparison: coordinate 0 of each sum
+    equals alpha * D^2 * delta_ik * delta_jl and every other coordinate
+    is 0.  The witness is the first failing (i, j, k, l) in
+    lexicographic order.
     """
     report = Report()
-    ctx, xm, dm = build_rep(irrep)
-    m = irrep.degree
-    alpha = irrep.alpha
-    zero = WeylOp.zero(ctx)
-    ok_xx = ok_dd = ok_dx = True
-    witness = {}
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    if (k, l) > (i, j):
-                        if ok_xx and commutator(xm[i][j], xm[k][l]) != zero:
-                            ok_xx, witness["xx"] = False, (i, j, k, l)
-                        if ok_dd and commutator(dm[i][j], dm[k][l]) != zero:
-                            ok_dd, witness["dd"] = False, (i, j, k, l)
-                    expected = (
-                        WeylOp.scalar(ctx, alpha) if (i == k and j == l) else zero
-                    )
-                    if ok_dx and commutator(dm[i][j], xm[k][l]) != expected:
-                        ok_dx, witness["dx"] = False, (i, j, k, l)
-    report.add("x-commute", irrep.label, ok_xx, str(witness.get("xx", "")))
-    report.add("d-commute", irrep.label, ok_dd, str(witness.get("dd", "")))
-    report.add("d-x-relation", irrep.label, ok_dx,
-               str(witness.get("dx", "")) or f"alpha = {alpha}")
+    m, alpha = irrep.degree, irrep.alpha
+    coords, den = _coordinates(irrep)
+    entries = [coords[i][j] for i in range(m) for j in range(m)]
+    sums = _conjugate_sums(entries, entries, irrep.conductor)
+    zeros = [0] * (len(sums[0][0]) - 1)
+    witness = ""
+    for i, j, k, l in product(range(m), repeat=4):
+        target = alpha * den * den if (i, j) == (k, l) else 0
+        if sums[i * m + j][k * m + l] != [target, *zeros]:
+            witness = str((i, j, k, l))
+            break
+    report.add("x-commute", irrep.label, True, "")
+    report.add("d-commute", irrep.label, True, "")
+    report.add("d-x-relation", irrep.label, not witness, witness or f"alpha = {alpha}")
     return report
 
 

@@ -6,8 +6,10 @@ reduction from scratch, group-table line checks as first written,
 convolution straight off the definition, the Leibniz determinant and the
 double determinant as permutation sums, a free-word ring, a direct
 differential-action evaluator, irrep validation by one matrix
-product per pair, and the determinant variants built directly at a shift
-constant c.  Tests compare package output against these.
+product per pair, the determinant variants built directly at a shift
+constant c, and an irrep's X and D as Weyl operators with one variable
+per group element, with the relations checked by commutators.  Tests
+compare package output against these.
 """
 
 import math
@@ -31,7 +33,7 @@ from capelli_lab.ncdet import (
     rowdet,
 )
 from capelli_lab.reports import Report
-from capelli_lab.weyl import WeylOp, build_generic, capelli_zpoly
+from capelli_lab.weyl import WeylContext, WeylOp, build_generic, capelli_zpoly, commutator
 
 
 # -- permutations (1-based one-line notation) --------------------------------
@@ -450,4 +452,60 @@ def det_equalities_direct(m):
             "doubledet-matrix", f"m={m} sigma={sigma}",
             "matches coldet" if naive == cd else f"differs by {naive - cd}",
         )
+    return report
+
+
+# -- an irrep's X and D as operators, one variable per group element -----------------------
+#
+# weyl.verify_rep_relations takes [D_ij, X_kl] as orthogonality sums of matrix
+# coefficients and never builds these operators; the oracle below builds them
+# and takes every commutator, as the package did before.
+
+
+def build_rep(irrep):
+    """One variable per group element at base alpha 1; X uses conjugated
+    matrix entries, D the plain ones."""
+    group = irrep.group
+    ctx = WeylContext(tuple(group.element_names), Fraction(1), irrep.conductor)
+    m = irrep.degree
+    xm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
+    dm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
+    for g in range(group.order):
+        mat = irrep.matrices[g]
+        for i in range(m):
+            for j in range(m):
+                v = mat[i][j]
+                if v:
+                    xm[i][j] = xm[i][j] + WeylOp.x(ctx, g, v.conjugate())
+                    dm[i][j] = dm[i][j] + WeylOp.d(ctx, g, v)
+    return ctx, xm, dm
+
+
+def rep_relations_by_commutators(irrep):
+    """weyl.verify_rep_relations by commutators of the built operators: the
+    vanishing relations over unordered distinct pairs, the mixed one over
+    all index 4-tuples, each witness the first failing tuple."""
+    report = Report()
+    ctx, xm, dm = build_rep(irrep)
+    m = irrep.degree
+    alpha = irrep.alpha
+    zero = WeylOp.zero(ctx)
+    ok_xx = ok_dd = ok_dx = True
+    witness = {}
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    if (k, l) > (i, j):
+                        if ok_xx and commutator(xm[i][j], xm[k][l]) != zero:
+                            ok_xx, witness["xx"] = False, (i, j, k, l)
+                        if ok_dd and commutator(dm[i][j], dm[k][l]) != zero:
+                            ok_dd, witness["dd"] = False, (i, j, k, l)
+                    expected = WeylOp.scalar(ctx, alpha) if (i == k and j == l) else zero
+                    if ok_dx and commutator(dm[i][j], xm[k][l]) != expected:
+                        ok_dx, witness["dx"] = False, (i, j, k, l)
+    report.add("x-commute", irrep.label, ok_xx, str(witness.get("xx", "")))
+    report.add("d-commute", irrep.label, ok_dd, str(witness.get("dd", "")))
+    report.add("d-x-relation", irrep.label, ok_dx,
+               str(witness.get("dx", "")) or f"alpha = {alpha}")
     return report

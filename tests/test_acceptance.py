@@ -29,7 +29,6 @@ from capelli_lab.groups import conjugacy_classes
 from capelli_lab.weyl import (
     GENERIC_ALPHAS,
     build_generic,
-    build_rep,
     transpose_product,
     verify_capelli,
     verify_capelli_properties,
@@ -38,6 +37,7 @@ from capelli_lab.weyl import (
     verify_rep_identity,
     verify_rep_relations,
 )
+from helpers import build_rep
 
 
 def _finish(number, name, started, budget_seconds):

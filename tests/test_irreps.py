@@ -15,7 +15,6 @@ from capelli_lab.irreps import (
     Irrep,
     IrrepSet,
     character_inner_product,
-    equivalent,
     irrep_from_dict,
     irrep_to_dict,
     make_irrep,
@@ -259,13 +258,16 @@ def test_validate_refuses_mixed_conductors():
 
 
 def test_character_inner_product_matches_per_element_oracle():
-    # b also in twice its conductor, so that the characters meet in the lcm field
+    # b also in twice its conductor, so that the characters meet in the lcm
+    # field, and with every entry times 2/3, so that they carry denominators
     for name in catalog_names():
         irreps = catalog_irreps(name).irreps
         for a in irreps:
             for b in irreps:
                 lifted = make_irrep(b.label, b.group, b.degree, b.matrices, 2 * b.conductor)
-                for other in (b, lifted):
+                thirds = make_irrep(b.label, b.group, b.degree, [
+                    [[v * Fraction(2, 3) for v in row] for row in mat] for mat in b.matrices])
+                for other in (b, lifted, thirds):
                     got = character_inner_product(a, other)
                     want = character_inner_product_per_element(a, other)
                     assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
@@ -309,7 +311,6 @@ def test_character_inner_products_orthonormal():
         for b in irreps:
             expected = 1 if a.label == b.label else 0
             assert character_inner_product(a, b) == expected
-            assert equivalent(a, b) == (a.label == b.label)
 
 
 def test_E_matrix_trivial():

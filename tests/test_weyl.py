@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capelli_lab import weyl
+from capelli_lab import linalg
 from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS
 from capelli_lab.cyclo import Cyclo, cyclo_degree
@@ -16,9 +16,7 @@ from capelli_lab.weyl import (
     ContextMismatch,
     WeylContext,
     WeylOp,
-    apply_to_polynomial,
     build_generic,
-    build_rep,
     capelli_zpoly,
     commutator,
     transpose_product,
@@ -29,13 +27,18 @@ from capelli_lab.weyl import (
     verify_rep_identity,
     verify_rep_relations,
 )
-from helpers import act, det_equalities_direct
+from helpers import act, build_rep, det_equalities_direct, rep_relations_by_commutators
 
 ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
 
 def one_var_ctx(alpha=Fraction(1)):
     return WeylContext(("1",), Fraction(alpha))
+
+
+def apply(op, poly):
+    """op acting on a polynomial, d as alpha * d/dx: the test oracle."""
+    return act(op.terms, op.context.alpha, poly)
 
 
 def rep_matrices(irrep):
@@ -80,14 +83,14 @@ def test_apply_identity_and_euler():
     x = WeylOp.x(ctx, 0)
     d = WeylOp.d(ctx, 0)
     poly = {(3,): Cyclo.rational(1)}
-    assert apply_to_polynomial(WeylOp.one(ctx), poly) == poly
-    assert apply_to_polynomial(x * d, poly) == {(3,): Cyclo.rational(3)}
+    assert apply(WeylOp.one(ctx), poly) == poly
+    assert apply(x * d, poly) == {(3,): Cyclo.rational(3)}
 
 
 def test_apply_respects_alpha():
     ctx = one_var_ctx(Fraction(5, 2))
     d = WeylOp.d(ctx, 0)
-    got = apply_to_polynomial(d, {(1,): Cyclo.rational(1)})
+    got = apply(d, {(1,): Cyclo.rational(1)})
     assert got == {(0,): Cyclo.rational(Fraction(5, 2))}
 
 
@@ -142,6 +145,80 @@ def test_rep_relations_trivial_irrep_gives_group_order():
 def test_rep_relations_standard_irreps():
     assert verify_rep_relations(catalog_irreps("S3").by_label("std")).ok  # alpha 3
     assert verify_rep_relations(catalog_irreps("Q8").by_label("std")).ok  # alpha 4
+
+
+def _conjugated(irrep, p):
+    """P * matrix(g) * P^-1 for every g, P a rational matrix; not validated."""
+    p = [[Cyclo.rational(v, irrep.conductor) for v in row] for row in p]
+    p_inv = linalg.mat_inverse(p)
+    return _with_matrices(irrep, [linalg.mat_mul(linalg.mat_mul(p, mat), p_inv)
+                                  for mat in irrep.matrices])
+
+
+def _with_matrices(irrep, matrices):
+    return Irrep(irrep.label, irrep.group, irrep.degree,
+                 tuple(tuple(map(tuple, mat)) for mat in matrices))
+
+
+def _one_entry_scaled(irrep):
+    # entry (0, m-1) of the last element's matrix, times 3
+    mats = [[list(row) for row in mat] for mat in irrep.matrices]
+    mats[-1][0][-1] = 3 * mats[-1][0][-1]
+    return _with_matrices(irrep, mats)
+
+
+def _two_swapped(irrep):
+    # the sums over g do not see which element carries which matrix, so
+    # this mutant passes on both routes
+    mats = list(irrep.matrices)
+    mats[0], mats[-1] = mats[-1], mats[0]
+    return _with_matrices(irrep, mats)
+
+
+def _upper_triangular(irrep):
+    # P * rho * P^-1 with P rational, upper triangular and not unitary
+    m = irrep.degree
+    return _conjugated(irrep, [[Fraction(i + 2 * j + 1, 2) if i <= j else 0 for j in range(m)]
+                               for i in range(m)])
+
+
+def _rotated(irrep):
+    # conjugation by a rational rotation in the first two coordinates is
+    # unitary, so the relations still hold, now with entry denominators 25
+    m = irrep.degree
+    q = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    if m > 1:
+        q[0][0], q[0][1], q[1][0], q[1][1] = (Fraction(3, 5), Fraction(-4, 5),
+                                              Fraction(4, 5), Fraction(3, 5))
+    return _conjugated(irrep, q)
+
+
+MUTANTS = {"one-entry-x3": _one_entry_scaled, "two-swapped": _two_swapped,
+           "upper-triangular": _upper_triangular, "rotated": _rotated}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_rep_relations_match_commutator_oracle(name):
+    # every row, detail included, against the commutators of the built
+    # operators; also on unvalidated mutants, which may fail
+    for irrep in catalog_irreps(name).irreps:
+        assert verify_rep_relations(irrep).results == rep_relations_by_commutators(irrep).results
+        for mutant, make in MUTANTS.items():
+            changed = make(irrep)
+            got = verify_rep_relations(changed).results
+            assert got == rep_relations_by_commutators(changed).results, (irrep.label, mutant)
+
+
+def test_rep_relation_mutants_fail_where_expected():
+    std = catalog_irreps("S3").by_label("std")
+    failing = {mutant: [(r.check, r.detail) for r in verify_rep_relations(make(std)).failures()]
+               for mutant, make in MUTANTS.items()}
+    assert failing["two-swapped"] == failing["rotated"] == []
+    assert failing["one-entry-x3"] == [("d-x-relation", "(0, 1, 0, 1)")]
+    assert failing["upper-triangular"] == [("d-x-relation", "(0, 0, 0, 0)")]
+    rotated = verify_rep_relations(_rotated(std)).results
+    assert [r.detail for r in rotated] == ["", "", "alpha = 3"]
+    assert max(v.den for mat in _rotated(std).matrices for row in mat for v in row) == 25
 
 
 def test_pi_relations_generic_and_rep():
@@ -214,26 +291,22 @@ def test_derived_identities_match_direct_route(name):
         assert verify_capelli(xm, dm, pi, irrep.alpha).results[0].status == "pass", irrep.label
 
 
-def _scale_d(monkeypatch, entries, factor):
-    build = weyl.build_rep
-
-    def scaled(irrep):
-        ctx, xm, dm = build(irrep)
-        for i, j in entries(irrep.degree):
-            dm[i][j] = dm[i][j].scale(factor)
-        return ctx, xm, dm
-
-    monkeypatch.setattr(weyl, "build_rep", scaled)
+def _scaled(irrep, entries, factor):
+    """irrep with entry (i, j) of every matrix times factor, for (i, j) in
+    entries: D_ij and X_ij both scale, so [D_ij, X_ij] = factor^2 * alpha."""
+    return _with_matrices(irrep, [
+        [[v * factor if (i, j) in entries else v for j, v in enumerate(row)]
+         for i, row in enumerate(mat)] for mat in irrep.matrices])
 
 
 @pytest.mark.parametrize("label", ("triv", "std"))
 @pytest.mark.parametrize("mutant", ("one-d-entry-x3", "every-d-entry-x2"))
-def test_derived_identities_fail_when_relations_fail(monkeypatch, mutant, label):
-    if mutant == "one-d-entry-x3":
-        _scale_d(monkeypatch, lambda m: [(0, 0)], 3)
-    else:
-        _scale_d(monkeypatch, lambda m: product(range(m), repeat=2), 2)
+def test_derived_identities_fail_when_relations_fail(mutant, label):
     irrep = catalog_irreps("S3").by_label(label)
+    if mutant == "one-d-entry-x3":
+        irrep = _scaled(irrep, [(0, 0)], 3)
+    else:
+        irrep = _scaled(irrep, list(product(range(irrep.degree), repeat=2)), 2)
     relations = verify_rep_relations(irrep)
     assert [r.check for r in relations.failures()] == ["d-x-relation"]
     for identity in ("pi-relations", "capelli-identity"):
@@ -339,6 +412,21 @@ def test_det_equalities_size_limit():
         verify_det_equalities(3)
 
 
+def test_scale_by_rational_one_returns_the_operator(monkeypatch):
+    # the rule AlgebraElement.scale follows: no Cyclo product for a rational 1
+    ctx, xm, dm, pi = build_generic(2, Fraction(3))
+    calls = []
+    mul = Cyclo.__mul__
+    monkeypatch.setattr(Cyclo, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for one in (1, Fraction(1)):
+        assert pi[0][1].scale(one) is pi[0][1]
+        assert one * pi[0][1] is pi[0][1]
+        assert pi[0][1] * one is pi[0][1]
+    assert calls == []
+    assert pi[0][1].scale(Cyclo.one(1)) == pi[0][1]
+    assert pi[0][1].scale(2) == pi[0][1] + pi[0][1]
+
+
 def test_context_mismatch_rejected():
     a = WeylOp.x(one_var_ctx(), 0)
     b = WeylOp.x(one_var_ctx(), 0)  # distinct context object
@@ -405,8 +493,8 @@ def test_weyl_multiplication_associative(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_weyl_semantics_compose(a, b):
     poly = {(2, 1): Cyclo.rational(1), (0, 3): Cyclo.rational(-2)}
-    via_product = apply_to_polynomial(a * b, poly)
-    via_steps = apply_to_polynomial(a, apply_to_polynomial(b, poly))
+    via_product = apply(a * b, poly)
+    via_steps = apply(a, apply(b, poly))
     assert via_product == via_steps
 
 
@@ -447,18 +535,18 @@ def test_commutator_matches_product_oracle(ops):
 @given(op_pairs())
 @settings(max_examples=100, deadline=None)
 def test_product_and_commutator_act_by_composition(ops):
-    # apply_to_polynomial differentiates directly, so this checks the
+    # apply differentiates directly, so this checks the
     # reordering rule itself, which the product and commutator share
     a, b = ops
     ctx = a.context
     one = Cyclo.one(ctx.conductor)
     poly = {(4,) * ctx.size: one, tuple(range(1, ctx.size + 1)): Cyclo.zeta(ctx.conductor) + one}
-    ab = apply_to_polynomial(a, apply_to_polynomial(b, poly))
-    ba = apply_to_polynomial(b, apply_to_polynomial(a, poly))
-    assert apply_to_polynomial(a * b, poly) == ab
+    ab = apply(a, apply(b, poly))
+    ba = apply(b, apply(a, poly))
+    assert apply(a * b, poly) == ab
     diff = dict(ab)
     for key, c in ba.items():
         value = diff.pop(key, Cyclo.zero(ctx.conductor)) - c
         if value:
             diff[key] = value
-    assert apply_to_polynomial(commutator(a, b), poly) == diff
+    assert apply(commutator(a, b), poly) == diff
