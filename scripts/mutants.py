@@ -64,6 +64,47 @@ MUTANTS = (
         "            witness = str((i, j, k, l))\n",
         ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",),
     ),
+    # the catalog irreps induced from linear characters, against their
+    # generator images
+    Mutant(
+        "induced-cosets-on-the-wrong-side", "src/capelli_lab/irreps.py",
+        "mul[mul[inv[ti]][g]][tj]",
+        "mul[mul[inv[tj]][g]][ti]",
+        ("tests/test_induction.py::test_catalog_irreps_equal_generator_image_oracle",),
+    ),
+    Mutant(
+        "induced-character-not-accumulated", "src/capelli_lab/irreps.py",
+        "chi[x] = (chi[h] + k) % n",
+        "chi[x] = k",
+        ("tests/test_induction.py::test_catalog_irreps_equal_generator_image_oracle",),
+    ),
+    # checks over generators only, against all pairs
+    Mutant(
+        "light-test-first-generator-only", "src/capelli_lab/groups.py",
+        "for s in generators:",
+        "for s in generators[:1]:",
+        ("tests/test_groups.py::test_every_loop_up_to_order_6_matches_full_scan",),
+    ),
+    Mutant(
+        "homomorphism-first-generator-only", "src/capelli_lab/irreps.py",
+        "for s in group.generators:",
+        "for s in group.generators[:1]:",
+        ("tests/test_irreps.py::test_homomorphism_check_matches_all_pairs_oracle",),
+    ),
+    # the inverse through the field norm
+    Mutant(
+        "inverse-conjugate-dropped", "src/capelli_lab/cyclo.py",
+        "for k in range(2, n):",
+        "for k in range(2, n - 1):",
+        ("tests/test_cyclo.py::test_multiplicative_inverse",),
+    ),
+    # the commutator without forming either product
+    Mutant(
+        "commutator-sign-flip-dropped", "src/capelli_lab/weyl.py",
+        "ca = -ca",
+        "ca = ca",
+        ("tests/test_weyl.py::test_commutator_matches_product_oracle",),
+    ),
     # one determinant-variant routine for both rings
     Mutant(
         "shift-variants-diagonal-perturbed", "src/capelli_lab/ncdet.py",

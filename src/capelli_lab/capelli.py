@@ -29,7 +29,6 @@ identity; the Weyl side applies the same routines to Pi.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,11 +141,6 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
     ok = all(c.is_central() for c in poly.coeffs)
     report.add("coefficients-central", irrep.label, ok)
 
-    conductor = irrep.conductor
-    if irrep_set is not None:
-        conductor = math.lcm(*[r.conductor for r in irrep_set.irreps])
-    coeffs = [c.promote(conductor) for c in poly.coeffs]
-
     others = [irrep] if irrep_set is None else list(irrep_set.irreps)
     for other in others:
         em = E_matrix(other)
@@ -154,8 +148,8 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
         witness = ""
         for i in range(other.degree):
             for j in range(other.degree):
-                e = em[i][j].promote(conductor)
-                if any(e * c != c * e for c in coeffs):
+                e = em[i][j]
+                if any(e * c != c * e for c in poly.coeffs):
                     ok = False
                     witness = f"[E^{other.label}_{i+1}{j+1}, C(z)] != 0"
                     break
@@ -243,11 +237,7 @@ def character_basis(irrep_set: IrrepSet):
 
 
 def _rank_check(report, name, elements, partition):
-    conductor = math.lcm(*[e.conductor for e in elements])
-    rows = [
-        [c.promote(conductor) for c in e.coordinates_in_class_sums(partition)]
-        for e in elements
-    ]
+    rows = [e.coordinates_in_class_sums(partition) for e in elements]
     rk = linalg.rank(rows)
     report.add(
         name, "set",

@@ -2,20 +2,21 @@
 
 Groups come from permutation generators (except Q8, whose table is
 written out from the quaternion relations since it has no faithful
-small-degree permutation model worth the trouble).  Irreps are given by
-generator images only -- monomial or signed-permutation matrices over
-roots of unity, so every entry is exactly representable at the group
-exponent -- and extended through the Cayley table.  Degrees 1, 2 and 3
-all occur, with both real and complex character fields.
+small-degree permutation model worth the trouble).  Every irrep is
+induced from a linear character of a subgroup (irreps.induced_irrep),
+one row of IRREPS each, so its matrices are monomial with roots of unity
+at the group exponent as entries; a linear character is the case of the
+whole group.  Degrees 1, 2 and 3 all occur, with both real and complex
+character fields.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import Cyclo
 from .groups import Group, build_group_from_permutations, build_group_from_table, exponent, perm_from_cycles
-from .irreps import IrrepSet, irrep_from_generators, make_irrep
+from .irreps import IrrepSet, induced_irrep
 
 CATALOG = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
            "V4", "S3", "D4", "Q8", "A4", "S4")
@@ -83,119 +84,63 @@ def _quaternion_group() -> Group:
     return build_group_from_table("Q8", names, table)
 
 
+_HALF, _THIRD, _QUARTER = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+
+
+def _linear(generators, *characters, identity="e"):
+    """Rows of linear characters: H = G from `generators`, one coset.
+    Each character is (label, turn of each generator)."""
+    return [(label, generators, turns, (identity,)) for label, *turns in characters]
+
+
+def _cyclic(n):
+    """chi_k of C_n turns the generator (12...n) by k/n."""
+    cycle = "(" + "".join(map(str, range(1, n + 1))) + ")"
+    return _linear((cycle,), *[("triv" if k == 0 else f"chi{k}", Fraction(k, n)) for k in range(n)])
+
+
+# Every catalog irrep is Ind_H^G chi (irreps.induced_irrep): a row gives its
+# label, the generators of H, chi on them in turns, and the coset
+# representatives t_1 = identity, ..., t_r, elements named as in the group.
+IRREPS = {
+    "C1": _linear((), ("triv",)),
+    **{f"C{n}": _cyclic(n) for n in range(2, 9)},
+    "V4": _linear(("(12)(34)", "(13)(24)"), ("triv", 0, 0), ("chi10", _HALF, 0),
+                  ("chi01", 0, _HALF), ("chi11", _HALF, _HALF)),
+    "S3": _linear(("(123)", "(12)"), ("triv", 0, 0), ("sgn", 0, _HALF)) + [
+        ("std", ("(123)",), (_THIRD,), ("e", "(12)")),
+    ],
+    "D4": _linear(("(1234)", "(13)"), ("triv", 0, 0), ("sgn_s", 0, _HALF),
+                  ("sgn_r", _HALF, 0), ("sgn_rs", _HALF, _HALF)) + [
+        ("std", ("(1234)",), (_QUARTER,), ("e", "(13)")),
+    ],
+    "Q8": _linear(("i", "j"), ("triv", 0, 0), ("chi_i", 0, _HALF), ("chi_j", _HALF, 0),
+                  ("chi_k", _HALF, _HALF), identity="1") + [
+        ("std", ("i",), (_QUARTER,), ("1", "-j")),
+    ],
+    "A4": _linear(("(12)(34)", "(234)"), ("triv", 0, 0), ("omega", 0, _THIRD),
+                  ("omega_sq", 0, 2 * _THIRD)) + [
+        # rotations of the cube permuting its four space diagonals, from V4
+        ("std", ("(12)(34)", "(13)(24)"), (0, _HALF), ("e", "(234)", "(243)")),
+    ],
+    "S4": _linear(("(12)", "(1243)"), ("triv", 0, 0), ("sgn", _HALF, _HALF)) + [
+        # through the quotient onto the pairings of {1,2,3,4}, from A4
+        ("dim2", ("(243)", "(14)(23)"), (2 * _THIRD, 0), ("e", "(14)")),
+        # the cube rotations, twisted by sign and not, from a D4
+        ("std_sgn", ("(12)", "(1423)"), (_HALF, 0), ("e", "(1243)", "(243)")),
+        ("std", ("(12)", "(1423)"), (0, _HALF), ("e", "(234)", "(243)")),
+    ],
+}
+
+
 @lru_cache(maxsize=None)
 def catalog_irreps(name: str) -> IrrepSet:
     group = catalog_group(name)
-    n = exponent(group)
-    one = Cyclo.one(n)
-
-    def zeta(power):
-        return Cyclo.zeta(n, power)
-
-    builders = []
-
-    if name == "C1":
-        return IrrepSet(group, (make_irrep("triv", group, 1, [[[one]]]),))
-
-    if name.startswith("C") and name != "C1":
-        order = group.order
-        gen = _find_element(group, "(" + "".join(str(i) for i in range(1, order + 1)) + ")")
-        irreps = []
-        for k in range(order):
-            label = "triv" if k == 0 else f"chi{k}"
-            irreps.append(irrep_from_generators(group, label, [gen], [[[zeta(k * (n // order))]]]))
-        return IrrepSet(group, tuple(irreps))
-
-    if name == "V4":
-        a = _find_element(group, "(12)(34)")
-        b = _find_element(group, "(13)(24)")
-        for label, sa, sb in (("triv", 1, 1), ("chi10", -1, 1), ("chi01", 1, -1), ("chi11", -1, -1)):
-            builders.append(irrep_from_generators(group, label, [a, b], [[[sa * one]], [[sb * one]]]))
-        return IrrepSet(group, tuple(builders))
-
-    if name == "S3":
-        r = _find_element(group, "(123)")
-        s = _find_element(group, "(12)")
-        w = zeta(n // 3)  # primitive cube root
-        builders.append(irrep_from_generators(group, "triv", [r, s], [[[one]], [[one]]]))
-        builders.append(irrep_from_generators(group, "sgn", [r, s], [[[one]], [[-1 * one]]]))
-        builders.append(
-            irrep_from_generators(
-                group, "std", [r, s],
-                [[[w, 0], [0, w * w]], [[0, one], [one, 0]]],
-            )
-        )
-        return IrrepSet(group, tuple(builders))
-
-    if name == "D4":
-        r = _find_element(group, "(1234)")
-        s = _find_element(group, "(13)")
-        i = zeta(n // 4)
-        for label, sr, ss in (("triv", 1, 1), ("sgn_s", 1, -1), ("sgn_r", -1, 1), ("sgn_rs", -1, -1)):
-            builders.append(irrep_from_generators(group, label, [r, s], [[[sr * one]], [[ss * one]]]))
-        builders.append(
-            irrep_from_generators(
-                group, "std", [r, s],
-                [[[i, 0], [0, -1 * i]], [[0, one], [one, 0]]],
-            )
-        )
-        return IrrepSet(group, tuple(builders))
-
-    if name == "Q8":
-        gi = 2  # index of i
-        gj = 4  # index of j
-        z4 = zeta(n // 4)
-        for label, si, sj in (("triv", 1, 1), ("chi_i", 1, -1), ("chi_j", -1, 1), ("chi_k", -1, -1)):
-            builders.append(irrep_from_generators(group, label, [gi, gj], [[[si * one]], [[sj * one]]]))
-        builders.append(
-            irrep_from_generators(
-                group, "std", [gi, gj],
-                [[[z4, 0], [0, -1 * z4]], [[0, one], [-1 * one, 0]]],
-            )
-        )
-        return IrrepSet(group, tuple(builders))
-
-    if name == "A4":
-        a = _find_element(group, "(12)(34)")
-        t = _find_element(group, "(234)")
-        w = zeta(n // 3)
-        builders.append(irrep_from_generators(group, "triv", [a, t], [[[one]], [[one]]]))
-        builders.append(irrep_from_generators(group, "omega", [a, t], [[[one]], [[w]]]))
-        builders.append(irrep_from_generators(group, "omega_sq", [a, t], [[[one]], [[w * w]]]))
-        # rotations of the cube acting on its four space diagonals
-        rot_a = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-        rot_t = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-        builders.append(irrep_from_generators(group, "std", [a, t], [rot_a, rot_t]))
-        return IrrepSet(group, tuple(builders))
-
-    if name == "S4":
-        s = _find_element(group, "(12)")
-        c = _find_element(group, "(1243)")
-        w = zeta(n // 3)
-        builders.append(irrep_from_generators(group, "triv", [s, c], [[[one]], [[one]]]))
-        builders.append(irrep_from_generators(group, "sgn", [s, c], [[[-1 * one]], [[-1 * one]]]))
-        # two-dimensional irrep through the quotient onto the pairings of {1,2,3,4}
-        m_s = [[0, w * w], [w, 0]]
-        m_c = [[0, one], [one, 0]]
-        builders.append(irrep_from_generators(group, "dim2", [s, c], [m_s, m_c]))
-        # cube rotations permuting the space diagonals: the standard irrep
-        # twisted by sign; untwisting gives the standard one
-        cube_s = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
-        cube_c = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-        builders.append(irrep_from_generators(group, "std_sgn", [s, c], [cube_s, cube_c]))
-        std_s = [[-v for v in row] for row in cube_s]
-        std_c = [[-v for v in row] for row in cube_c]
-        builders.append(irrep_from_generators(group, "std", [s, c], [std_s, std_c]))
-        return IrrepSet(group, tuple(builders))
-
-    raise KeyError(name)
-
-
-def _find_element(group: Group, name: str) -> int:
-    for i, nm in enumerate(group.element_names):
-        if nm == name:
-            return i
-    raise KeyError(f"element {name!r} not found in {group.name}")
+    index = {element: g for g, element in enumerate(group.element_names)}
+    return IrrepSet(group, tuple(
+        induced_irrep(group, label, [index[h] for h in generators], turns,
+                      [index[t] for t in cosets])
+        for label, generators, turns, cosets in IRREPS[name]))
 
 
 def catalog_summary() -> list[dict]:

@@ -340,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_ver.add_mutually_exclusive_group(required=True)
     src.add_argument("--group", help="catalog group name")
     src.add_argument("--group-file", help="path to a group JSON file")
-    p_ver.add_argument("--irrep", help="restrict to one catalog irrep label")
-    p_ver.add_argument("--irrep-file", help="path to an irrep JSON file (validated before use)")
+    irreps = p_ver.add_mutually_exclusive_group()
+    irreps.add_argument("--irrep", help="restrict to one catalog irrep label")
+    irreps.add_argument("--irrep-file", help="path to an irrep JSON file (validated before use)")
     p_ver.add_argument("--checks", nargs="+", default=["all"],
                        help=f"comma/space separated from: {', '.join(CHECKS)}, or 'all'")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

@@ -1,6 +1,8 @@
 """Unitary matrix irreps with cyclotomic entries.
 
-An irrep here is the full table g -> matrix(g).  Validation checks the
+An irrep here is the full table g -> matrix(g).  induced_irrep builds
+one as Ind_H^G chi from a linear character chi of a subgroup H, by table
+lookups; every catalog irrep is built that way.  Validation checks the
 homomorphism property on every pair (g, s) with s in the group's
 generating set, which implies it on every pair; unitarity on every
 element; and irreducibility through the character inner product.
@@ -68,8 +70,16 @@ class Irrep:
 
 @dataclass(frozen=True)
 class IrrepSet:
+    """Irreps of one group, all in one conductor (ConductorMismatch
+    otherwise), so that the set-level checks need no promotion."""
+
     group: Group
     irreps: tuple[Irrep, ...]
+
+    def __post_init__(self):
+        conductors = sorted({r.conductor for r in self.irreps})
+        if len(conductors) > 1:
+            raise ConductorMismatch(f"irreps of {self.group.name} in conductors {conductors}")
 
     @property
     def conductor(self) -> int:
@@ -82,48 +92,52 @@ class IrrepSet:
         raise KeyError(f"no irrep {label!r} for {self.group.name}")
 
 
-def make_irrep(label, group, degree, matrices, conductor=None) -> Irrep:
-    """Normalize raw matrix data to one shared conductor (default the
-    group exponent) without validating."""
-    target = conductor if conductor is not None else exponent(group)
-    fixed = []
-    for mat in matrices:
-        fixed.append(tuple(tuple(_as_cyclo(v, target) for v in row) for row in mat))
-    return Irrep(str(label), group, int(degree), tuple(fixed))
+def induced_irrep(group, label, subgroup_generators, turns, cosets) -> Irrep:
+    """Ind_H^G chi, for chi a linear character of the subgroup H.
 
+    H is closed from `subgroup_generators` through the Cayley table.  chi
+    takes the generators to the given rational numbers of turns and is kept
+    as an exponent of zeta_N, N the group exponent (also the conductor),
+    added up along the closure: chi(h*s) = chi(h) * chi(s).  With
+    t_1, ..., t_r the coset representatives of the cosets t*H, entry (i, j)
+    of matrix(g) is chi(t_i^-1 * g * t_j) when that element lies in H and 0
+    otherwise, so the build is table lookups with no Cyclo products.  A
+    linear character of G is the case H = G with one coset.  When t_1 is
+    the identity, matrix(t_j) takes the first basis vector to the j-th.
 
-def _as_cyclo(v, conductor):
-    if isinstance(v, Cyclo):
-        return v.promote(conductor)
-    return Cyclo.rational(v, conductor)
-
-
-def irrep_from_generators(group, label, gen_indices, gen_matrices, conductor=None) -> Irrep:
-    """Extend generator images multiplicatively through the Cayley table.
-
-    Homomorphism failures are not detected here; run validate afterwards.
+    ValueError when the turns and generators differ in number, a turn is
+    not a multiple of 1/N, or r * |H| != |G|.
+    That chi is a character, that the t_i lie in distinct cosets and that
+    the result is irreducible (Mackey's criterion) are left to validate.
     """
-    target = conductor if conductor is not None else exponent(group)
-    degree = len(gen_matrices[0])
-    gens = [
-        tuple(tuple(_as_cyclo(v, target) for v in row) for row in mat) for mat in gen_matrices
-    ]
-    mats: dict[int, tuple] = {group.identity: tuple(map(tuple, linalg.identity_matrix(degree, target)))}
+    n = exponent(group)
+    powers = []
+    for s, turn in zip(subgroup_generators, turns, strict=True):
+        k = Fraction(turn) * n
+        if k.denominator != 1:
+            raise ValueError(f"{turn} turns is not a power of zeta_{n}")
+        powers.append((s, int(k) % n))
+    chi = {group.identity: 0}
     frontier = [group.identity]
     while frontier:
         nxt = []
-        for g in frontier:
-            for t, tm in zip(gen_indices, gens):
-                h = group.mul(g, t)
-                if h not in mats:
-                    mats[h] = tuple(map(tuple, linalg.mat_mul(mats[g], tm)))
-                    nxt.append(h)
+        for h in frontier:
+            for s, k in powers:
+                x = group.mul(h, s)
+                if x not in chi:
+                    chi[x] = (chi[h] + k) % n
+                    nxt.append(x)
         frontier = nxt
-    if len(mats) != group.order:
-        raise ValueError(
-            f"generators reach only {len(mats)} of {group.order} elements of {group.name}"
-        )
-    return Irrep(str(label), group, degree, tuple(mats[g] for g in range(group.order)))
+    if len(cosets) * len(chi) != group.order:
+        raise ValueError(f"{len(cosets)} cosets of a subgroup of order {len(chi)} "
+                         f"do not cover {group.name} of order {group.order}")
+    roots, zero = [Cyclo.zeta(n, k) for k in range(n)], Cyclo.zero(n)
+    mul, inv = group.table, group.inverses
+    mats = tuple(
+        tuple(tuple(roots[chi[x]] if x in chi else zero
+                    for x in (mul[mul[inv[ti]][g]][tj] for tj in cosets)) for ti in cosets)
+        for g in range(group.order))
+    return Irrep(str(label), group, len(cosets), mats)
 
 
 # -- validation ---------------------------------------------------------------
@@ -352,11 +366,8 @@ def verify_schur_products(irrep_set: IrrepSet) -> Report:
     and commutators vanish.
     """
     report = Report()
-    conductor = math.lcm(*[r.conductor for r in irrep_set.irreps])
-    ems = {
-        r.label: [[e.promote(conductor) for e in row] for row in E_matrix(r)]
-        for r in irrep_set.irreps
-    }
+    conductor = irrep_set.conductor
+    ems = {r.label: E_matrix(r) for r in irrep_set.irreps}
 
     for irrep in irrep_set.irreps:
         m = irrep.degree
@@ -431,15 +442,9 @@ def verify_E_basis(irrep_set: IrrepSet) -> Report:
     coordinate matrix has full exact rank."""
     report = Report()
     group = irrep_set.group
-    conductor = math.lcm(*[r.conductor for r in irrep_set.irreps])
-    rows = []
-    for irrep in irrep_set.irreps:
-        for i in range(irrep.degree):
-            for j in range(irrep.degree):
-                rows.append(
-                    [irrep.matrices[g][i][j].promote(conductor) for g in range(group.order)]
-                )
-    rk = linalg.rank(rows) if rows else 0
+    rows = [[mat[i][j] for mat in irrep.matrices]
+            for irrep in irrep_set.irreps for i in range(irrep.degree) for j in range(irrep.degree)]
+    rk = linalg.rank(rows)
     report.add("e-basis-rank", "set", rk == group.order and len(rows) == group.order,
                f"rank {rk} of {len(rows)} rows, order {group.order}")
     return report

@@ -19,20 +19,6 @@ def identity_matrix(m: int, conductor: int) -> list[list[Cyclo]]:
     return [[one if i == j else zero for j in range(m)] for i in range(m)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _gauss_jordan(rows, ncols) -> int:
     """Reduce `rows` in place to reduced row echelon form over the first
     `ncols` columns; returns the number of pivots."""

@@ -5,8 +5,9 @@ implementation: permutation composition from scratch, polynomial
 reduction from scratch, group-table line checks as first written,
 convolution straight off the definition, the Leibniz determinant and the
 double determinant as permutation sums, a free-word ring, a direct
-differential-action evaluator, irrep validation by one matrix
-product per pair, the determinant variants built directly at a shift
+differential-action evaluator, the catalog irreps from generator images
+closed under matrix products, irrep validation by one matrix product per
+pair, the determinant variants built directly at a shift
 constant c, and an irrep's X and D as Weyl operators with one variable
 per group element, with the relations checked by commutators.  Tests
 compare package output against these.
@@ -19,9 +20,10 @@ from itertools import permutations
 
 from capelli_lab import linalg
 from capelli_lab.algebra import AlgebraElement
+from capelli_lab.catalog import catalog_group
 from capelli_lab.cyclo import Cyclo
-from capelli_lab.groups import NotAGroup
-from capelli_lab.irreps import E_matrix
+from capelli_lab.groups import NotAGroup, exponent
+from capelli_lab.irreps import E_matrix, Irrep
 from capelli_lab.ncdet import (
     ZPoly,
     add_diagonal,
@@ -330,6 +332,92 @@ def brute_homomorphism(table, matrices):
     )
 
 
+# -- catalog irreps from generator images ---------------------------------------------------
+
+
+def irrep_from_generators(group, label, gen_indices, gen_matrices, degree=1):
+    """Extend generator images multiplicatively through the Cayley table,
+    breadth first, with entries (Cyclo or rational) at the group exponent;
+    `degree` is read off the images when there are any."""
+    n = exponent(group)
+    gens = [tuple(tuple(v.promote(n) if isinstance(v, Cyclo) else Cyclo.rational(v, n)
+                        for v in row) for row in mat) for mat in gen_matrices]
+    degree = len(gens[0]) if gens else degree
+    one, zero = Cyclo.one(n), Cyclo.zero(n)
+    mats = {group.identity: tuple(tuple(one if i == j else zero for j in range(degree))
+                                  for i in range(degree))}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for t, tm in zip(gen_indices, gens):
+                h = group.mul(g, t)
+                if h not in mats:
+                    mats[h] = matrix_product(mats[g], tm)
+                    nxt.append(h)
+        frontier = nxt
+    assert len(mats) == group.order, f"generators reach {len(mats)} of {group.order} elements"
+    return Irrep(str(label), group, degree, tuple(mats[g] for g in range(group.order)))
+
+
+def catalog_by_generators(name):
+    """The irreps of catalog group `name` from the generator images they
+    were first written as, in catalog label order."""
+    group = catalog_group(name)
+    n = exponent(group)
+    index = {element: g for g, element in enumerate(group.element_names)}
+
+    def build(generators, rows):
+        gens = [index[g] for g in generators]
+        return [irrep_from_generators(group, label, gens, images) for label, *images in rows]
+
+    if name == "C1":
+        return build((), [("triv",)])
+    if name.startswith("C"):
+        cycle = "(" + "".join(map(str, range(1, n + 1))) + ")"
+        return build((cycle,), [("triv" if k == 0 else f"chi{k}", [[Cyclo.zeta(n, k)]])
+                                for k in range(n)])
+    if name == "V4":
+        return build(("(12)(34)", "(13)(24)"), [
+            ("triv", [[1]], [[1]]), ("chi10", [[-1]], [[1]]),
+            ("chi01", [[1]], [[-1]]), ("chi11", [[-1]], [[-1]])])
+    if name == "S3":
+        w = Cyclo.zeta(n, n // 3)  # a primitive cube root
+        return build(("(123)", "(12)"), [
+            ("triv", [[1]], [[1]]), ("sgn", [[1]], [[-1]]),
+            ("std", [[w, 0], [0, w * w]], [[0, 1], [1, 0]])])
+    if name == "D4":
+        i = Cyclo.zeta(n, n // 4)
+        return build(("(1234)", "(13)"), [
+            ("triv", [[1]], [[1]]), ("sgn_s", [[1]], [[-1]]),
+            ("sgn_r", [[-1]], [[1]]), ("sgn_rs", [[-1]], [[-1]]),
+            ("std", [[i, 0], [0, -i]], [[0, 1], [1, 0]])])
+    if name == "Q8":
+        i = Cyclo.zeta(n, n // 4)
+        return build(("i", "j"), [
+            ("triv", [[1]], [[1]]), ("chi_i", [[1]], [[-1]]),
+            ("chi_j", [[-1]], [[1]]), ("chi_k", [[-1]], [[-1]]),
+            ("std", [[i, 0], [0, -i]], [[0, 1], [-1, 0]])])
+    if name == "A4":
+        w = Cyclo.zeta(n, n // 3)
+        # rotations of the cube acting on its four space diagonals
+        return build(("(12)(34)", "(234)"), [
+            ("triv", [[1]], [[1]]), ("omega", [[1]], [[w]]), ("omega_sq", [[1]], [[w * w]]),
+            ("std", [[1, 0, 0], [0, -1, 0], [0, 0, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])])
+    if name == "S4":
+        w = Cyclo.zeta(n, n // 3)
+        # dim2 through the quotient onto the pairings of {1,2,3,4}; std_sgn the
+        # cube rotations permuting the space diagonals, std its twist by sign
+        cube_s = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
+        cube_c = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+        return build(("(12)", "(1243)"), [
+            ("triv", [[1]], [[1]]), ("sgn", [[-1]], [[-1]]),
+            ("dim2", [[0, w * w], [w, 0]], [[0, 1], [1, 0]]),
+            ("std_sgn", cube_s, cube_c),
+            ("std", [[-v for v in row] for row in cube_s], [[-v for v in row] for row in cube_c])])
+    raise KeyError(name)
+
+
 # -- irrep validation pair by pair ----------------------------------------------------------
 
 
@@ -356,7 +444,7 @@ def validate_per_pair(irrep):
     witness = None
     for s in group.generators:
         for g in range(n):
-            if not mat_eq(linalg.mat_mul(mats[g], mats[s]), mats[group.mul(g, s)]):
+            if not mat_eq(matrix_product(mats[g], mats[s]), mats[group.mul(g, s)]):
                 witness = (group.element_names[g], group.element_names[s])
                 break
         if witness:
@@ -366,7 +454,7 @@ def validate_per_pair(irrep):
 
     witness = None
     for g in range(n):
-        if not mat_eq(linalg.mat_mul(mats[g], mat_conj_transpose(mats[g])), ident):
+        if not mat_eq(matrix_product(mats[g], mat_conj_transpose(mats[g])), ident):
             witness = group.element_names[g]
             break
     report.add("unitarity", irrep.label, witness is None,

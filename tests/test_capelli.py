@@ -32,7 +32,9 @@ from capelli_lab.irreps import E_matrix, irrep_from_dict
 from capelli_lab.ncdet import ZPoly, natural_sigma, natural_star, rowdet, shift_variants
 from helpers import (
     double_sum_by_permutations,
+    mat_eq,
     matrix_attached_double_det,
+    matrix_product,
     naive_convolve,
     positioned_double_det,
     shifted_matrix,
@@ -244,7 +246,7 @@ def test_p_family_pairs_are_inverse(m):
     family = linalg.p_family(m, 3)
     assert len(family) == math.factorial(m) + (m >= 2)
     for p, p_inv in family:
-        assert linalg.mat_mul(p, p_inv) == linalg.identity_matrix(m, 3)
+        assert mat_eq(matrix_product(p, p_inv), linalg.identity_matrix(m, 3))
 
 
 def test_conjugation_rejects_singular_p():

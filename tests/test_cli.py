@@ -290,6 +290,25 @@ def test_group_file_without_irrep_file_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("group_file", [False, True], ids=["catalog-group", "group-file"])
+def test_irrep_with_irrep_file_exits_2(tmp_path, capsys, group_file):
+    # --irrep used to be dropped without a word when --irrep-file was given:
+    # S3 with sgn reported the file's std, and an unknown label exited 0
+    irrep_path = tmp_path / "std.json"
+    irrep_path.write_text(json.dumps(irrep_to_dict(catalog_irreps("S3").by_label("std"))))
+    source = ["--group", "S3"]
+    if group_file:
+        group_path = tmp_path / "s3.json"
+        group_path.write_text(json.dumps(group_to_dict(catalog_group("S3"))))
+        source = ["--group-file", str(group_path)]
+    label = "nonexistent" if group_file else "sgn"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", *source, "--irrep-file", str(irrep_path), "--irrep", label,
+            "--checks", "closed-form")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("capelli", "--group", "S3"),
     ("capelli", "--group", "S3", "--at", "1"),

@@ -17,7 +17,6 @@ from capelli_lab.irreps import (
     character_inner_product,
     irrep_from_dict,
     irrep_to_dict,
-    make_irrep,
     validate,
     validate_complete,
     verify_E_basis,
@@ -204,8 +203,7 @@ def presented_irreps(draw):
                              else draw(small_fractions) if i < j else 0, n)
               for j in range(m)] for i in range(m)]
         p_inv = linalg.mat_inverse(p)
-        mats = tuple(tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(p, mat), p_inv)))
-                     for mat in mats)
+        mats = tuple(matrix_product(matrix_product(p, mat), p_inv) for mat in mats)
     elements = st.integers(0, len(mats) - 1)
     mutation = draw(st.sampled_from(["none", "swap", "scale"]))
     if mutation == "swap":
@@ -239,8 +237,7 @@ def test_validate_reports_non_unitary_conjugate_at_first_failing_element():
     p = [[Cyclo.rational(1, n), Cyclo.rational(Fraction(1, 2), n)],
          [Cyclo.zero(n), Cyclo.rational(2, n)]]
     p_inv = linalg.mat_inverse(p)
-    mats = tuple(tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(p, mat), p_inv)))
-                 for mat in std.matrices)
+    mats = tuple(matrix_product(matrix_product(p, mat), p_inv) for mat in std.matrices)
     report = validate(Irrep("conj", std.group, 2, mats))
     first = next(g for g, mat in enumerate(mats)
                  if not mat_eq(matrix_product(mat, mat_conj_transpose(mat)),
@@ -257,6 +254,11 @@ def test_validate_refuses_mixed_conductors():
         validate(Irrep("mixed", std.group, 2, tuple(mats)))
 
 
+def _map_entries(irrep, f):
+    return Irrep(irrep.label, irrep.group, irrep.degree, tuple(
+        tuple(tuple(map(f, row)) for row in mat) for mat in irrep.matrices))
+
+
 def test_character_inner_product_matches_per_element_oracle():
     # b also in twice its conductor, so that the characters meet in the lcm
     # field, and with every entry times 2/3, so that they carry denominators
@@ -264,13 +266,21 @@ def test_character_inner_product_matches_per_element_oracle():
         irreps = catalog_irreps(name).irreps
         for a in irreps:
             for b in irreps:
-                lifted = make_irrep(b.label, b.group, b.degree, b.matrices, 2 * b.conductor)
-                thirds = make_irrep(b.label, b.group, b.degree, [
-                    [[v * Fraction(2, 3) for v in row] for row in mat] for mat in b.matrices])
+                lifted = _map_entries(b, lambda v: v.promote(2 * b.conductor))
+                thirds = _map_entries(b, lambda v: v * Fraction(2, 3))
                 for other in (b, lifted, thirds):
                     got = character_inner_product(a, other)
                     want = character_inner_product_per_element(a, other)
                     assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
+
+
+def test_irrep_set_refuses_mixed_conductors():
+    # every set-level check reads the set's one conductor and promotes nothing
+    s3 = catalog_irreps("S3")
+    sgn = _map_entries(s3.by_label("sgn"), lambda v: v.promote(12))
+    with pytest.raises(ConductorMismatch):
+        IrrepSet(s3.group, (s3.by_label("std"), sgn))
+    assert IrrepSet(s3.group, (sgn,)).conductor == 12
 
 
 def test_validate_complete_s3():
@@ -526,7 +536,7 @@ def test_rank_matches_leibniz_determinant(matrix):
     if full:
         inv = linalg.mat_inverse(matrix)
         ident = linalg.identity_matrix(3, matrix[0][0].conductor)
-        assert mat_eq(linalg.mat_mul(matrix, inv), ident)
+        assert mat_eq(matrix_product(matrix, inv), ident)
     else:
         with pytest.raises(linalg.SingularMatrix):
             linalg.mat_inverse(matrix)

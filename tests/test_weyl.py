@@ -27,7 +27,13 @@ from capelli_lab.weyl import (
     verify_rep_identity,
     verify_rep_relations,
 )
-from helpers import act, build_rep, det_equalities_direct, rep_relations_by_commutators
+from helpers import (
+    act,
+    build_rep,
+    det_equalities_direct,
+    matrix_product,
+    rep_relations_by_commutators,
+)
 
 ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
@@ -151,7 +157,7 @@ def _conjugated(irrep, p):
     """P * matrix(g) * P^-1 for every g, P a rational matrix; not validated."""
     p = [[Cyclo.rational(v, irrep.conductor) for v in row] for row in p]
     p_inv = linalg.mat_inverse(p)
-    return _with_matrices(irrep, [linalg.mat_mul(linalg.mat_mul(p, mat), p_inv)
+    return _with_matrices(irrep, [matrix_product(matrix_product(p, mat), p_inv)
                                   for mat in irrep.matrices])
 
 
