@@ -98,12 +98,53 @@ MUTANTS = (
         "for k in range(2, n - 1):",
         ("tests/test_cyclo.py::test_multiplicative_inverse",),
     ),
-    # the commutator without forming either product
+    # the commutator without forming either product, and the reordering
+    # rule it shares with the product, against the direct action
     Mutant(
         "commutator-sign-flip-dropped", "src/capelli_lab/weyl.py",
         "ca = -ca",
         "ca = ca",
         ("tests/test_weyl.py::test_commutator_matches_product_oracle",),
+    ),
+    Mutant(
+        "reordering-alpha-power-dropped", "src/capelli_lab/weyl.py",
+        "_falling(xb[v], k) * alpha**k",
+        "_falling(xb[v], k) * alpha",
+        ("tests/test_weyl.py::test_product_and_commutator_act_by_composition",),
+    ),
+    Mutant(
+        "reordering-falling-factor-dropped", "src/capelli_lab/weyl.py",
+        "mult *= math.comb(da[v], k) * _falling(xb[v], k) * alpha**k",
+        "mult *= math.comb(da[v], k) * alpha**k",
+        ("tests/test_weyl.py::test_product_and_commutator_act_by_composition",),
+    ),
+    # an irrep's identities derived from the generic ones
+    Mutant(
+        "derived-route-relations-skipped", "src/capelli_lab/weyl.py",
+        "broken = (verify_rep_relations(irrep) if relations is None else relations).failures()",
+        "broken = []",
+        ("tests/test_weyl.py::test_derived_identities_fail_when_relations_fail",),
+    ),
+    Mutant(
+        "derived-route-at-alpha-one", "src/capelli_lab/weyl.py",
+        "build_generic(irrep.degree, irrep.alpha)",
+        "build_generic(irrep.degree, 1)",
+        ("tests/test_weyl.py::test_derived_identities_match_direct_route",),
+    ),
+    # the witness searches both rings share
+    Mutant(
+        "gl-relation-delta-il-sign-flipped", "src/capelli_lab/ncdet.py",
+        "expected = expected - alpha * matrix[k][j]",
+        "expected = expected + alpha * matrix[k][j]",
+        ("tests/test_ncdet.py::test_gl_relation_witness_reads_only_pairs_above_the_diagonal",
+         "tests/test_ncdet.py::test_witness_searches_find_nothing_on_the_generic_pi",
+         "tests/test_ncdet.py::test_witness_searches_find_nothing_on_std_e"),
+    ),
+    Mutant(
+        "noncommuting-entry-first-value-only", "src/capelli_lab/ncdet.py",
+        "if not all(commute(entry, v) for v in values)",
+        "if not all(commute(entry, v) for v in values[:1])",
+        ("tests/test_ncdet.py::test_noncommuting_entry_reads_every_value",),
     ),
     # one determinant-variant routine for both rings
     Mutant(
@@ -112,6 +153,39 @@ MUTANTS = (
         "[ZPoly([(d + 1) * one, minus_one]) for d in shift]",
         ("tests/test_ncdet.py::test_shift_variants_match_permutation_sums_at_any_c",
          "tests/test_weyl.py::test_det_equalities_match_direct_build_at_one"),
+    ),
+    # group tables of order <= 256 as byte lines, against the line checks
+    # as first written
+    Mutant(
+        "byte-lines-no-bool-test", "src/capelli_lab/groups.py",
+        "typed = (type(row[line.index(0)]) is int\n"
+        "                         and (n == 1 or type(row[line.index(1)]) is int))",
+        "typed = True",
+        ("tests/test_groups.py::test_table_checks_match_reference",),
+    ),
+    Mutant(
+        "byte-lines-bool-test-at-zero-cell-only", "src/capelli_lab/groups.py",
+        "and (n == 1 or type(row[line.index(1)]) is int))",
+        ")",
+        ("tests/test_groups.py::test_table_checks_match_reference",),
+    ),
+    Mutant(
+        "byte-lines-no-range-test", "src/capelli_lab/groups.py",
+        "if line is None or len(line) != n or line.translate(None, ident):",
+        "if line is None or len(line) != n:",
+        ("tests/test_groups.py::test_table_checks_match_reference",),
+    ),
+    Mutant(
+        "byte-lines-wrong-translate-direction", "src/capelli_lab/groups.py",
+        "return not self.ident.translate(None, line)",
+        "return not line.translate(None, self.ident)",
+        ("tests/test_groups.py::test_table_checks_match_reference",),
+    ),
+    Mutant(
+        "column-test-skipped", "src/capelli_lab/groups.py",
+        "if not lines.permutes(columns[i]):",
+        "if False:",
+        ("tests/test_groups.py::test_table_checks_match_reference",),
     ),
     # the prefix-sharing expansion behind coldet and the double determinants
     Mutant(

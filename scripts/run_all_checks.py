@@ -23,7 +23,8 @@ from collections import Counter
 from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS, run_checks
 
-# the fields --expect compares; runtime_ms is left out
+# the fields --expect compares; any other field of a saved row (the per-result
+# runtime_ms that reports carried before check_ms replaced it) is left out
 ROW_KEYS = ("group", "name", "check", "irrep", "status", "detail")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import Cyclo
-from .groups import ClassPartition, Group, conjugacy_classes, exponent
+from .groups import Group, conjugacy_classes, exponent
 
 
 class GroupMismatch(ValueError):
@@ -142,12 +142,12 @@ class AlgebraElement:
                     return False
         return True
 
-    def coordinates_in_class_sums(self, partition: ClassPartition | None = None):
+    def coordinates_in_class_sums(self, classes=None):
         """Coordinates over the class-sum basis; NotCentral when the
         coefficients are not constant on some conjugacy class."""
-        partition = partition or conjugacy_classes(self.group)
+        classes = classes or conjugacy_classes(self.group)
         coords = []
-        for cls in partition.classes:
+        for cls in classes:
             first = self.coeffs[cls[0]]
             for g in cls[1:]:
                 if self.coeffs[g] != first:
@@ -205,8 +205,7 @@ class AlgebraElement:
 def class_sum(group: Group, cls) -> AlgebraElement:
     """Sum of the basis elements of one conjugacy class."""
     cls = tuple(sorted(cls))
-    partition = conjugacy_classes(group)
-    if cls not in partition.classes:
+    if cls not in conjugacy_classes(group):
         raise NotAClass(f"{cls} is not a conjugacy class of {group.name}")
     n = exponent(group)
     coeffs = [Cyclo.zero(n)] * group.order

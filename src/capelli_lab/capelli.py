@@ -24,19 +24,20 @@ Every determinant here (the Capelli element, its conjugates P E P^-1 and
 the row and double determinant variants, expanded once at shift constant
 c = 0 and read at each candidate c by `ZPoly.shift`) comes from the
 ring-generic routines in ncdet, applied to E with the group algebra's
-identity; the Weyl side applies the same routines to Pi.
+identity; the Weyl side applies the same routines to Pi.  So does the
+check that the element commutes with E (`ncdet.noncommuting_entry`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraElement, character_element
 from .groups import conjugacy_classes
 from .irreps import E_matrix, Irrep, IrrepSet
-from .ncdet import ZPoly, capelli_zpoly, conjugated_capelli_zpolys, shift_variants
+from .ncdet import (ZPoly, capelli_zpoly, conjugated_capelli_zpolys, noncommuting_entry,
+                    shift_variants)
 from .reports import Report
 
 
@@ -45,15 +46,6 @@ class BadK(ValueError):
 
 
 DEFAULT_K = Fraction(-1)
-
-
-@dataclass(frozen=True)
-class CapelliElement:
-    irrep_label: str
-    poly: ZPoly  # coefficients are AlgebraElements
-
-    def __str__(self):
-        return render_capelli(self.poly)
 
 
 # -- u polynomials ------------------------------------------------------------
@@ -86,12 +78,13 @@ def _one(irrep: Irrep) -> AlgebraElement:
     return AlgebraElement.identity(irrep.group, irrep.conductor)
 
 
-def capelli_element(irrep: Irrep) -> CapelliElement:
-    """Column determinant of E + alpha*(m-1,...,0) - zI."""
-    return CapelliElement(irrep.label, capelli_zpoly(E_matrix(irrep), irrep.alpha, _one(irrep)))
+def capelli_element(irrep: Irrep) -> ZPoly:
+    """Column determinant of E + alpha*(m-1,...,0) - zI, a z-polynomial
+    with group-algebra coefficients."""
+    return capelli_zpoly(E_matrix(irrep), irrep.alpha, _one(irrep))
 
 
-def capelli_via_subsets(irrep: Irrep) -> CapelliElement:
+def capelli_via_subsets(irrep: Irrep) -> ZPoly:
     """Independent expansion: sum over subsets T of {1..m} of
     (-alpha)^(|T|-1) * E_(max T, max T) * product of u_s over s not in T,
     with the empty subset contributing the full u-product times identity.
@@ -110,7 +103,7 @@ def capelli_via_subsets(irrep: Irrep) -> CapelliElement:
             if s not in members:
                 poly = poly * u_factor(irrep, s).map_coeffs(lambda c: c * one)
         total = total + poly
-    return CapelliElement(irrep.label, total)
+    return total
 
 
 def verify_closed_form(irrep: Irrep) -> Report:
@@ -118,7 +111,7 @@ def verify_closed_form(irrep: Irrep) -> Report:
     and the subset expansion must reproduce it term for term."""
     report = Report()
     one = _one(irrep)
-    direct = capelli_element(irrep).poly
+    direct = capelli_element(irrep)
     chi = character_element(irrep)
     closed = u_product(irrep, irrep.degree).map_coeffs(lambda c: c * one) + u_product(
         irrep, irrep.degree - 1
@@ -126,7 +119,7 @@ def verify_closed_form(irrep: Irrep) -> Report:
     ok = direct == closed
     report.add("closed-form", irrep.label, ok,
                "" if ok else f"det: {render_capelli(direct)} vs closed: {render_capelli(closed)}")
-    subsets = capelli_via_subsets(irrep).poly
+    subsets = capelli_via_subsets(irrep)
     ok = direct == subsets
     report.add("subset-expansion", irrep.label, ok,
                "" if ok else f"det: {render_capelli(direct)} vs subsets: {render_capelli(subsets)}")
@@ -137,25 +130,16 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
     """Every z-coefficient central; the element commutes with every E
     entry of its own irrep and of every inequivalent one."""
     report = Report()
-    poly = capelli_element(irrep).poly
+    poly = capelli_element(irrep)
     ok = all(c.is_central() for c in poly.coeffs)
     report.add("coefficients-central", irrep.label, ok)
 
     others = [irrep] if irrep_set is None else list(irrep_set.irreps)
     for other in others:
-        em = E_matrix(other)
-        ok = True
-        witness = ""
-        for i in range(other.degree):
-            for j in range(other.degree):
-                e = em[i][j]
-                if any(e * c != c * e for c in poly.coeffs):
-                    ok = False
-                    witness = f"[E^{other.label}_{i+1}{j+1}, C(z)] != 0"
-                    break
-            if not ok:
-                break
-        report.add("commutes-with-E", f"{irrep.label}|{other.label}", ok, witness)
+        entry = noncommuting_entry(E_matrix(other), poly.coeffs, lambda a, b: a * b == b * a)
+        witness = "" if entry is None else (
+            f"[E^{other.label}_{entry[0] + 1}{entry[1] + 1}, C(z)] != 0")
+        report.add("commutes-with-E", f"{irrep.label}|{other.label}", entry is None, witness)
     return report
 
 
@@ -166,7 +150,7 @@ def verify_conjugation_invariance(irrep: Irrep, p_matrix=None) -> Report:
     """The column determinant of P E P^-1 + alpha*shift - zI equals the
     Capelli element, for p_matrix or for each P of `linalg.p_family`."""
     report = Report()
-    reference = capelli_element(irrep).poly
+    reference = capelli_element(irrep)
     family = ([(p_matrix, linalg.mat_inverse(p_matrix))] if p_matrix is not None
               else linalg.p_family(irrep.degree, irrep.conductor))
     got = conjugated_capelli_zpolys(E_matrix(irrep), irrep.alpha, _one(irrep), family)
@@ -209,7 +193,7 @@ def center_basis(irrep_set: IrrepSet, k_by_label=None):
     """
     report = Report()
     group = irrep_set.group
-    partition = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     ks = [choose_k(irrep, None if k_by_label is None else k_by_label.get(irrep.label))
           for irrep in irrep_set.irreps]
     degrees = [irrep.degree for irrep in irrep_set.irreps]
@@ -219,30 +203,30 @@ def center_basis(irrep_set: IrrepSet, k_by_label=None):
         raise BadK(f"sum of k * degree / |G| is {exceptional} = 1 + sum of (degree - 1)")
     elements = []
     for irrep, k in zip(irrep_set.irreps, ks):
-        value = capelli_element(irrep).poly(k)
+        value = capelli_element(irrep)(k)
         elements.append(value)
         report.add("basis-element-central", irrep.label, value.is_central())
-    _rank_check(report, "capelli-basis", elements, partition)
+    _rank_check(report, "capelli-basis", elements, classes)
     return elements, report
 
 
 def character_basis(irrep_set: IrrepSet):
     report = Report()
-    partition = conjugacy_classes(irrep_set.group)
+    classes = conjugacy_classes(irrep_set.group)
     elements = [character_element(r) for r in irrep_set.irreps]
     for irrep, el in zip(irrep_set.irreps, elements):
         report.add("character-central", irrep.label, el.is_central())
-    _rank_check(report, "character-basis", elements, partition)
+    _rank_check(report, "character-basis", elements, classes)
     return elements, report
 
 
-def _rank_check(report, name, elements, partition):
-    rows = [e.coordinates_in_class_sums(partition) for e in elements]
+def _rank_check(report, name, elements, classes):
+    rows = [e.coordinates_in_class_sums(classes) for e in elements]
     rk = linalg.rank(rows)
     report.add(
         name, "set",
-        rk == partition.count and len(elements) == partition.count,
-        f"{len(elements)} elements, rank {rk}, classes {partition.count}",
+        rk == len(classes) and len(elements) == len(classes),
+        f"{len(elements)} elements, rank {rk}, classes {len(classes)}",
     )
 
 
@@ -264,7 +248,7 @@ def verify_det_variants(irrep: Irrep) -> Report:
     candidate is read off that expansion by `ZPoly.shift`.
     """
     report = Report()
-    reference = capelli_element(irrep).poly
+    reference = capelli_element(irrep)
     row_variant, variants = shift_variants(E_matrix(irrep), irrep.alpha, _one(irrep))
     report.add("rowdet-variant", irrep.label, row_variant == reference)
 

@@ -155,7 +155,7 @@ def catalog_summary() -> list[dict]:
                 "name": name,
                 "order": group.order,
                 "exponent": exponent(group),
-                "classes": conjugacy_classes(group).count,
+                "classes": len(conjugacy_classes(group)),
                 "degrees": sorted(r.degree for r in irreps.irreps),
             }
         )

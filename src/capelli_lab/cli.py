@@ -144,7 +144,7 @@ def run_checks(irrep_set: IrrepSet, names):
         elapsed = time.monotonic() - started
         yield name, elapsed, [
             {"name": name, "check": e.check, "irrep": e.irrep, "status": e.status,
-             "detail": e.detail, "runtime_ms": int(elapsed * 1000)}
+             "detail": e.detail}
             for e in entries
         ]
 
@@ -247,18 +247,17 @@ def cmd_capelli(args) -> int:
         _check_at_renders(at, max(irrep.degree for irrep in irrep_set.irreps))
     payload = []
     for irrep in irrep_set.irreps:
-        element = capelli_element(irrep)
+        poly = capelli_element(irrep)
         if args.at is not None:
-            value = element.poly(at)
-            rendered = str(value)
+            rendered = str(poly(at))
             payload.append({"irrep": irrep.label, "at": str(args.at), "value": rendered})
         else:
-            rendered = render_capelli(element.poly)
+            rendered = render_capelli(poly)
             payload.append({"irrep": irrep.label, "capelli": rendered})
         if args.format == "text":
             tag = f" at z={args.at}" if args.at is not None else "(z)"
             print(f"C^{irrep.label}{tag} = {rendered}")
-    if args.format == "json":
+    if args.format == "json" or args.out:
         _emit({"tool": "capelli-lab", "version": __version__, "group": group.name,
                "elements": payload}, args.out)
     return 0
@@ -271,7 +270,10 @@ def cmd_verify(args) -> int:
     irrep_set = resolve_irreps(args, group)
 
     t_total = time.monotonic()
-    results = [row for _, _, rows in run_checks(irrep_set, requested) for row in rows]
+    results, check_ms = [], {}
+    for name, elapsed, rows in run_checks(irrep_set, requested):
+        results.extend(rows)
+        check_ms[name] = check_ms.get(name, 0) + int(elapsed * 1000)
 
     failed = [r for r in results if r["status"] == "fail"]
     payload = {
@@ -282,6 +284,7 @@ def cmd_verify(args) -> int:
         "results": sorted(results, key=lambda r: (r["name"], r["irrep"], r["check"])),
         "failures": len(failed),
         "runtime_ms": int((time.monotonic() - t_total) * 1000),
+        "check_ms": check_ms,
     }
 
     if args.format == "json" or args.out:

@@ -70,15 +70,6 @@ class Group:
         return f"Group({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
-
-
 def build_group_from_table(name, element_names, table) -> Group:
     n = len(table)
     return _build_group(name, element_names, table, (_ByteLines if n <= 256 else _TupleLines)(n))
@@ -376,7 +367,9 @@ def build_group_from_permutations(name, degree, generators, max_order=DEFAULT_OR
 # -- structure ------------------------------------------------------------
 
 
-def conjugacy_classes(group: Group) -> ClassPartition:
+def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
+    """The conjugacy classes, each a sorted tuple of elements: the
+    identity's class first, then by least member."""
     n = group.order
     assigned = [None] * n
     classes = []
@@ -388,9 +381,8 @@ def conjugacy_classes(group: Group) -> ClassPartition:
         for x in orbit:
             assigned[x] = idx
         classes.append(tuple(orbit))
-    # identity class first, then by least member
     classes.sort(key=lambda cls: (group.identity not in cls, cls[0]))
-    return ClassPartition(tuple(classes))
+    return tuple(classes)
 
 
 def exponent(group: Group) -> int:

@@ -32,9 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add, mul
 
-from . import linalg
+from . import linalg, ncdet
 from .algebra import AlgebraElement
 from .cyclo import CONDUCTOR_LIMIT, ConductorMismatch, Cyclo, power_table
 from .groups import Group, exponent, read_json
@@ -362,78 +363,44 @@ def verify_schur_products(irrep_set: IrrepSet) -> Report:
     """Product and commutator relations of the E entries.
 
     Within one irrep: E_ij * E_kl = alpha * delta_jk * E_il, and the
-    commutator form it implies.  Across inequivalent irreps: all products
-    and commutators vanish.
+    commutator form it implies, the gl_m relations of
+    `ncdet.gl_relation_witness`, read off the same products.  Across
+    inequivalent irreps: all products vanish.
     """
     report = Report()
-    conductor = irrep_set.conductor
+    zero = AlgebraElement.zero(irrep_set.group, irrep_set.conductor)
     ems = {r.label: E_matrix(r) for r in irrep_set.irreps}
 
     for irrep in irrep_set.irreps:
-        m = irrep.degree
-        alpha = irrep.alpha
-        em = ems[irrep.label]
+        alpha, em = irrep.alpha, ems[irrep.label]
         products = {}
-        ok = True
-        detail = ""
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    for l in range(m):
-                        prod = em[i][j] * em[k][l]
-                        products[(i, j, k, l)] = prod
-                        expected = alpha * em[i][l] if j == k else AlgebraElement.zero(
-                            irrep.group, conductor)
-                        if prod != expected:
-                            ok = False
-                            detail = f"E_{i+1}{j+1} E_{k+1}{l+1} != alpha*delta*E_{i+1}{l+1}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("schur-product", irrep.label, ok, detail)
 
-        if ok:
-            comm_ok = True
-            detail = ""
-            for (i, j, k, l), prod in products.items():
-                lhs = prod - products[(k, l, i, j)]
-                rhs = AlgebraElement.zero(irrep.group, conductor)
-                if j == k:
-                    rhs = rhs + alpha * em[i][l]
-                if i == l:
-                    rhs = rhs - alpha * em[k][j]
-                if lhs != rhs:
-                    comm_ok = False
-                    detail = f"[E_{i+1}{j+1}, E_{k+1}{l+1}] mismatch"
-                    break
-            report.add("schur-commutator", irrep.label, comm_ok, detail)
+        def mismatch(i, j, k, l):
+            prod = products[i, j, k, l] = em[i][j] * em[k][l]
+            return prod != (alpha * em[i][l] if j == k else zero)
+
+        witness = next((t for t in product(range(irrep.degree), repeat=4) if mismatch(*t)), None)
+        if witness is not None:
+            i, j, k, l = (x + 1 for x in witness)
+            report.add("schur-product", irrep.label, False,
+                       f"E_{i}{j} E_{k}{l} != alpha*delta*E_{i}{l}")
+            continue
+        report.add("schur-product", irrep.label, True)
+        witness = ncdet.gl_relation_witness(
+            em, alpha, lambda i, j, k, l: products[i, j, k, l] - products[k, l, i, j])
+        report.add("schur-commutator", irrep.label, witness is None, "" if witness is None
+                   else "[E_{}{}, E_{}{}] mismatch".format(*(x + 1 for x in witness)))
 
     for a in irrep_set.irreps:
         for b in irrep_set.irreps:
             if a.label == b.label:
                 continue
-            ok = True
-            detail = ""
-            zero = AlgebraElement.zero(irrep_set.group, conductor)
-            for i in range(a.degree):
-                for j in range(a.degree):
-                    for s in range(b.degree):
-                        for t in range(b.degree):
-                            if ems[a.label][i][j] * ems[b.label][s][t] != zero:
-                                ok = False
-                                detail = f"E^{a.label}_{i+1}{j+1} E^{b.label}_{s+1}{t+1} != 0"
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            report.add("schur-cross", f"{a.label}|{b.label}", ok, detail)
+            ea, eb = ems[a.label], ems[b.label]
+            w = next((t for t in product(range(a.degree), range(a.degree),
+                                         range(b.degree), range(b.degree))
+                      if ea[t[0]][t[1]] * eb[t[2]][t[3]] != zero), None)
+            report.add("schur-cross", f"{a.label}|{b.label}", w is None, "" if w is None else
+                       f"E^{a.label}_{w[0] + 1}{w[1] + 1} E^{b.label}_{w[2] + 1}{w[3] + 1} != 0")
     return report
 
 

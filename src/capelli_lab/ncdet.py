@@ -15,13 +15,18 @@ Weyl algebra (weyl) alike: the Capelli element of an irrep and the
 operator Capelli determinant are the same `capelli_zpoly` of different
 matrices, their conjugation checks the same `conjugated_capelli_zpolys`,
 and their row and double determinant variants the same `shift_variants`.
+The two checks they share are witness searches here, each ring giving
+only its commutator: the gl_m relations that E satisfies in the group
+algebra and Pi in the Weyl algebra (`gl_relation_witness`), and the
+entry that fails to commute with the Capelli coefficients
+(`noncommuting_entry`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 
 class SizeLimit(ValueError):
@@ -389,3 +394,37 @@ def shift_variants(matrix, alpha, one):
         positioned = positioned_doubledet(lifted, [ZPoly([d * one, minus_one]) for d in shift])
         variants.append((sigma, positioned, doubledet(minus_z_shifted(shift))))
     return row, variants
+
+
+# -- witness searches shared by both rings -------------------------------------------
+
+
+def gl_relation_witness(matrix, alpha, bracket):
+    """The first (i, j, k, l) with (k, l) > (i, j) in lexicographic order
+    at which bracket(i, j, k, l), the ring's [M_ij, M_kl], differs from
+    alpha * (delta_jk M_il - delta_il M_kj); None if there is none.
+
+    These are the gl_m commutation relations.  Both sides change sign
+    when (i, j) and (k, l) swap, and both vanish when (i, j) = (k, l), in
+    any ring, so the pairs with (k, l) > (i, j) carry every relation once.
+    """
+    m = len(matrix)
+    zero = matrix[0][0] - matrix[0][0]
+    for i, j, k, l in product(range(m), repeat=4):
+        if (k, l) <= (i, j):
+            continue
+        expected = zero
+        if j == k:
+            expected = expected + alpha * matrix[i][l]
+        if i == l:
+            expected = expected - alpha * matrix[k][j]
+        if bracket(i, j, k, l) != expected:
+            return i, j, k, l
+    return None
+
+
+def noncommuting_entry(matrix, values, commute):
+    """The first (i, j) in row order whose entry fails commute(entry, v)
+    for some v of values; None if every entry commutes with every value."""
+    return next(((i, j) for i, row in enumerate(matrix) for j, entry in enumerate(row)
+                 if not all(commute(entry, v) for v in values)), None)

@@ -32,6 +32,9 @@ double) are built by the ring-generic functions in ncdet, the same ones
 the group-algebra side applies to its E matrix; `verify_det_equalities`
 reads its shift constant c = 1 off the c = 0 expansions of
 `ncdet.shift_variants`, as `capelli.verify_det_variants` reads 1 and alpha.
+The Pi relations and the centrality of the Capelli coefficients are the
+witness searches of ncdet with `commutator` as the bracket, the same
+searches the group-algebra side runs on E with its products.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from itertools import islice, product
 from . import linalg, ncdet
 from .cyclo import Cyclo
 from .irreps import Irrep, _conjugate_sums, _coordinates
-from .ncdet import SizeLimit, ZPoly, add_diagonal, coldet, natural_shift
+from .ncdet import SizeLimit, add_diagonal, coldet, natural_shift
 from .reports import CheckResult, Report
 
 GENERIC_SIZE_LIMIT = 3
@@ -357,41 +360,13 @@ def verify_rep_relations(irrep: Irrep) -> Report:
 
 
 def verify_pi_relations(pi, alpha, label="generic") -> Report:
-    """[Pi_ij, Pi_kl] = alpha * (delta_jk Pi_il - delta_il Pi_kj).
-
-    Both sides are antisymmetric under swapping (i,j) with (k,l), and for
-    (i,j) = (k,l) both sides are identically zero in any ring, so only
-    unordered distinct pairs carry content.
-    """
+    """[Pi_ij, Pi_kl] = alpha * (delta_jk Pi_il - delta_il Pi_kj), by
+    `ncdet.gl_relation_witness` with the commutator as the bracket."""
     report = Report()
-    m = len(pi)
-    ctx = pi[0][0].context
-    alpha = Fraction(alpha)
-    ok = True
-    witness = ""
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    if (k, l) <= (i, j):
-                        continue
-                    lhs = commutator(pi[i][j], pi[k][l])
-                    rhs = WeylOp.zero(ctx)
-                    if j == k:
-                        rhs = rhs + pi[i][l].scale(alpha)
-                    if i == l:
-                        rhs = rhs - pi[k][j].scale(alpha)
-                    if lhs != rhs:
-                        ok = False
-                        witness = f"tuple {(i + 1, j + 1, k + 1, l + 1)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("pi-relations", label, ok, witness)
+    witness = ncdet.gl_relation_witness(
+        pi, Fraction(alpha), lambda i, j, k, l: commutator(pi[i][j], pi[k][l]))
+    report.add("pi-relations", label, witness is None,
+               "" if witness is None else f"tuple {tuple(x + 1 for x in witness)}")
     return report
 
 
@@ -449,35 +424,19 @@ def verify_rep_identity(irrep: Irrep, identity: str, relations: Report | None = 
     return report
 
 
-def capelli_zpoly(pi, alpha) -> ZPoly:
-    """The characteristic-style column determinant as a z-polynomial."""
-    return ncdet.capelli_zpoly(pi, Fraction(alpha), WeylOp.one(pi[0][0].context))
-
-
 def verify_capelli_properties(pi, alpha, label="generic") -> Report:
     """The z-polynomial commutes with every Pi entry and is invariant
     under conjugation by the permutation + transvection family."""
     report = Report()
     ctx = pi[0][0].context
-    m = len(pi)
-    cz = capelli_zpoly(pi, alpha)
-    ok = True
-    witness = ""
-    for i in range(m):
-        for j in range(m):
-            for coeff in cz.coeffs:
-                if commutator(pi[i][j], coeff):
-                    ok = False
-                    witness = f"[Pi_{i+1}{j+1}, C(z)] != 0"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("capelli-central", label, ok, witness)
+    alpha, one = Fraction(alpha), WeylOp.one(ctx)
+    cz = ncdet.capelli_zpoly(pi, alpha, one)
+    entry = ncdet.noncommuting_entry(pi, cz.coeffs, lambda a, b: not commutator(a, b))
+    witness = "" if entry is None else f"[Pi_{entry[0] + 1}{entry[1] + 1}, C(z)] != 0"
+    report.add("capelli-central", label, entry is None, witness)
 
-    family = linalg.p_family(m, ctx.conductor)
-    got = ncdet.conjugated_capelli_zpolys(pi, Fraction(alpha), WeylOp.one(ctx), family)
+    family = linalg.p_family(len(pi), ctx.conductor)
+    got = ncdet.conjugated_capelli_zpolys(pi, alpha, one, family)
     for idx, poly in enumerate(got):
         report.add("capelli-conjugation", f"{label}#P{idx}", poly == cz)
     return report
@@ -506,8 +465,9 @@ def verify_det_equalities(m: int) -> Report:
     alpha = Fraction(1)
     ctx, _, _, pi = build_generic(m, alpha)
 
-    cd = capelli_zpoly(pi, alpha)
-    rd, variants = ncdet.shift_variants(pi, alpha, WeylOp.one(ctx))
+    one = WeylOp.one(ctx)
+    cd = ncdet.capelli_zpoly(pi, alpha, one)
+    rd, variants = ncdet.shift_variants(pi, alpha, one)
     report.add("coldet-eq-rowdet", f"m={m}", cd == rd)
 
     for sigma, positioned, attached in variants:

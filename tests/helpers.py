@@ -10,7 +10,9 @@ closed under matrix products, irrep validation by one matrix product per
 pair, the determinant variants built directly at a shift
 constant c, and an irrep's X and D as Weyl operators with one variable
 per group element, with the relations checked by commutators.  Tests
-compare package output against these.
+compare package output against these; FAST_PATHS at the end names, for
+each fast path of the package, its oracle and the test that compares
+them.
 """
 
 import math
@@ -27,6 +29,7 @@ from capelli_lab.irreps import E_matrix, Irrep
 from capelli_lab.ncdet import (
     ZPoly,
     add_diagonal,
+    capelli_zpoly,
     doubledet,
     minus_z,
     natural_sigma,
@@ -35,7 +38,7 @@ from capelli_lab.ncdet import (
     rowdet,
 )
 from capelli_lab.reports import Report
-from capelli_lab.weyl import WeylContext, WeylOp, build_generic, capelli_zpoly, commutator
+from capelli_lab.weyl import WeylContext, WeylOp, build_generic, commutator
 
 
 # -- permutations (1-based one-line notation) --------------------------------
@@ -526,7 +529,7 @@ def det_equalities_direct(m):
     ctx, _, _, pi = build_generic(m, alpha)
     one = WeylOp.one(ctx)
 
-    cd = capelli_zpoly(pi, alpha)
+    cd = capelli_zpoly(pi, alpha, one)
     rd = rowdet(minus_z(add_diagonal(pi, [alpha * d for d in natural_star(m)], one), one))
     report.add("coldet-eq-rowdet", f"m={m}", cd == rd)
 
@@ -597,3 +600,57 @@ def rep_relations_by_commutators(irrep):
     report.add("d-x-relation", irrep.label, ok_dx,
                str(witness.get("dx", "")) or f"alpha = {alpha}")
     return report
+
+
+# -- the fast paths of the package and their oracles ---------------------------------------
+#
+# One row per fast path: (fast path, oracle, test).  The fast path and the
+# oracle are dotted names, importable from capelli_lab, from this module or
+# from a test module; the test is the pytest node id that compares them.
+# tests/test_fast_paths.py checks that every name resolves and every test is
+# defined; scripts/mutants.py holds the mutants these tests must kill.
+
+FAST_PATHS = (
+    ("capelli_lab.ncdet.coldet", "helpers.leibniz_det",
+     "tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums"),
+    ("capelli_lab.ncdet.rowdet", "helpers.leibniz_det",
+     "tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums"),
+    ("capelli_lab.ncdet.doubledet", "helpers.double_sum_by_permutations",
+     "tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums"),
+    ("capelli_lab.ncdet.positioned_doubledet", "helpers.double_sum_by_permutations",
+     "tests/test_ncdet.py::test_free_word_expansions_match_permutation_sums"),
+    ("capelli_lab.ncdet.ZPoly.shift", "test_ncdet._shift_by_binomials",
+     "tests/test_ncdet.py::test_zpoly_shift_against_binomial_expansion"),
+    ("capelli_lab.ncdet.shift_variants", "helpers.double_sum_by_permutations",
+     "tests/test_ncdet.py::test_shift_variants_match_permutation_sums_at_any_c"),
+    ("capelli_lab.capelli.verify_det_variants", "helpers.positioned_double_det",
+     "tests/test_capelli.py::test_double_dets_at_zero_shifted_match_direct_expansion"),
+    ("capelli_lab.weyl.verify_det_equalities", "helpers.det_equalities_direct",
+     "tests/test_weyl.py::test_det_equalities_match_direct_build_at_one"),
+    ("capelli_lab.weyl.commutator", "capelli_lab.weyl.WeylOp.__mul__",
+     "tests/test_weyl.py::test_commutator_matches_product_oracle"),
+    ("capelli_lab.weyl.WeylOp.__mul__", "helpers.act",
+     "tests/test_weyl.py::test_product_and_commutator_act_by_composition"),
+    ("capelli_lab.weyl.verify_rep_relations", "helpers.rep_relations_by_commutators",
+     "tests/test_weyl.py::test_rep_relations_match_commutator_oracle"),
+    ("capelli_lab.weyl.verify_rep_identity", "helpers.build_rep",
+     "tests/test_weyl.py::test_derived_identities_match_direct_route"),
+    ("capelli_lab.irreps.validate", "helpers.validate_per_pair",
+     "tests/test_irreps.py::test_validate_matches_per_pair_oracle"),
+    ("capelli_lab.irreps.validate", "helpers.brute_homomorphism",
+     "tests/test_irreps.py::test_homomorphism_check_matches_all_pairs_oracle"),
+    ("capelli_lab.irreps.character_inner_product", "helpers.character_inner_product_per_element",
+     "tests/test_irreps.py::test_character_inner_product_matches_per_element_oracle"),
+    ("capelli_lab.irreps.induced_irrep", "helpers.catalog_by_generators",
+     "tests/test_induction.py::test_catalog_irreps_equal_generator_image_oracle"),
+    ("capelli_lab.groups.build_group_from_table", "helpers.table_lines_reference",
+     "tests/test_groups.py::test_table_checks_match_reference"),
+    ("capelli_lab.groups.build_group_from_table", "helpers.brute_associative",
+     "tests/test_groups.py::test_every_loop_up_to_order_6_matches_full_scan"),
+    ("capelli_lab.algebra.AlgebraElement.__mul__", "helpers.naive_convolve",
+     "tests/test_algebra.py::test_convolution_against_oracle"),
+    ("capelli_lab.cyclo.cyclotomic_polynomial", "helpers.cyclotomic_by_division",
+     "tests/test_cyclo.py::test_cyclotomic_polynomial_against_divide_out_loop"),
+    ("capelli_lab.cyclo.Cyclo.inverse", "capelli_lab.cyclo.Cyclo.__mul__",
+     "tests/test_cyclo.py::test_multiplicative_inverse"),
+)

@@ -118,7 +118,7 @@ def test_class_sum_rejects_non_class():
 @pytest.mark.parametrize("name", catalog_names())
 def test_class_sums_are_central_everywhere(name):
     group = catalog_group(name)
-    for cls in conjugacy_classes(group).classes:
+    for cls in conjugacy_classes(group):
         assert class_sum(group, cls).is_central()
 
 
@@ -169,12 +169,12 @@ def test_character_elements_are_central(name):
 def test_class_sum_products_have_nonneg_integer_structure_constants():
     for name in ("S3", "Q8", "A4"):
         group = catalog_group(name)
-        partition = conjugacy_classes(group)
-        sums = [class_sum(group, cls) for cls in partition.classes]
+        classes = conjugacy_classes(group)
+        sums = [class_sum(group, cls) for cls in classes]
         for x in sums:
             for y in sums:
                 assert x * y == y * x
-                for coord in (x * y).coordinates_in_class_sums(partition):
+                for coord in (x * y).coordinates_in_class_sums(classes):
                     value = coord.as_rational()
                     assert value is not None and value.denominator == 1 and value >= 0
 
@@ -217,9 +217,9 @@ def test_convolution_against_oracle(a):
 @given(st.lists(st.integers(-5, 5), min_size=3, max_size=3))
 def test_class_sum_combinations_round_trip(weights):
     # random center element: coordinates recover the class-sum weights
-    partition = conjugacy_classes(S3)
+    classes = conjugacy_classes(S3)
     total = AlgebraElement.zero(S3)
-    for w, cls in zip(weights, partition.classes):
+    for w, cls in zip(weights, classes):
         total = total + w * class_sum(S3, cls)
     assert total.is_central()
-    assert total.coordinates_in_class_sums(partition) == weights
+    assert total.coordinates_in_class_sums(classes) == weights

@@ -11,7 +11,6 @@ from capelli_lab import linalg
 from capelli_lab.algebra import AlgebraElement, character_element
 from capelli_lab.capelli import (
     BadK,
-    CapelliElement,
     capelli_element,
     capelli_via_subsets,
     center_basis,
@@ -91,7 +90,7 @@ def test_capelli_element_of_trivial_irrep():
     for name in ("C4", "S3", "Q8"):
         irrep_set = catalog_irreps(name)
         triv = irrep_set.by_label("triv")
-        poly = capelli_element(triv).poly
+        poly = capelli_element(triv)
         group = triv.group
         all_ones = AlgebraElement(group, [Cyclo.one(triv.conductor)] * group.order)
         assert poly == ZPoly([all_ones, -AlgebraElement.identity(group, triv.conductor)])
@@ -99,7 +98,7 @@ def test_capelli_element_of_trivial_irrep():
 
 def test_capelli_element_of_sign_irrep():
     sgn = S3.by_label("sgn")
-    poly = capelli_element(sgn).poly
+    poly = capelli_element(sgn)
     expected_const = character_element(sgn)
     assert poly.coeffs[0] == expected_const
     assert poly.coeffs[1] == -AlgebraElement.identity(sgn.group, 6)
@@ -107,7 +106,7 @@ def test_capelli_element_of_sign_irrep():
 
 
 def test_capelli_element_standard_matches_frozen_value():
-    poly = capelli_element(STD).poly
+    poly = capelli_element(STD)
     # frozen from the closed form: (z^2 - 5z) e + z (123) + z (132)
     assert poly.degree == 2
     assert poly.coeffs[0] == s3_algebra({})
@@ -132,18 +131,18 @@ def test_capelli_element_standard_against_convolution_oracle():
     const = conv(a, d) - conv(em[1][0], em[0][1])
     linear = -(a + d)
     expected = ZPoly([const, linear, one_el])
-    assert capelli_element(STD).poly == expected
+    assert capelli_element(STD) == expected
 
 
 @pytest.mark.parametrize("label", ["triv", "sgn", "std"])
 def test_capelli_via_subsets_matches_determinant_s3(label):
     irrep = S3.by_label(label)
-    assert capelli_via_subsets(irrep).poly == capelli_element(irrep).poly
+    assert capelli_via_subsets(irrep) == capelli_element(irrep)
 
 
 def test_capelli_via_subsets_matches_on_degree_three():
     a4_std = catalog_irreps("A4").by_label("std")
-    assert capelli_via_subsets(a4_std).poly == capelli_element(a4_std).poly
+    assert capelli_via_subsets(a4_std) == capelli_element(a4_std)
 
 
 def test_closed_form_s3_standard_and_q8():
@@ -198,7 +197,7 @@ def test_degree_and_leading_coefficient():
     # consequence of the closed form: degree m, leading coefficient (-1)^m e
     for name in catalog_names():
         for irrep in catalog_irreps(name).irreps:
-            poly = capelli_element(irrep).poly
+            poly = capelli_element(irrep)
             m = irrep.degree
             assert poly.degree == m
             lead = AlgebraElement.identity(irrep.group, irrep.conductor)
@@ -303,12 +302,12 @@ def test_center_basis_with_custom_k():
 def _full_rank_at(irrep_set, ks):
     """The oracle: exact rank of the class-sum coordinates of the Capelli
     elements evaluated at ks, with no condition on the points."""
-    partition = conjugacy_classes(irrep_set.group)
-    values = [capelli_element(r).poly(k) for r, k in zip(irrep_set.irreps, ks)]
+    classes = conjugacy_classes(irrep_set.group)
+    values = [capelli_element(r)(k) for r, k in zip(irrep_set.irreps, ks)]
     conductor = irrep_set.conductor
-    rows = [[c.promote(conductor) for c in v.coordinates_in_class_sums(partition)]
+    rows = [[c.promote(conductor) for c in v.coordinates_in_class_sums(classes)]
             for v in values]
-    return linalg.rank(rows) == partition.count
+    return linalg.rank(rows) == len(classes)
 
 
 def _predicted_bad_z(irrep_set):
@@ -414,10 +413,10 @@ def test_positioned_double_det_matches_capelli_at_alpha():
         irrep = catalog_irreps(name).by_label(label)
         m = irrep.degree
         sigma = tuple(range(1, m + 1))
-        assert positioned_double_det(irrep, sigma, irrep.alpha) == capelli_element(irrep).poly
-        assert positioned_double_det(irrep, sigma, Fraction(1)) != capelli_element(irrep).poly
+        assert positioned_double_det(irrep, sigma, irrep.alpha) == capelli_element(irrep)
+        assert positioned_double_det(irrep, sigma, Fraction(1)) != capelli_element(irrep)
         if m >= 2:
-            assert matrix_attached_double_det(irrep, sigma, irrep.alpha) != capelli_element(irrep).poly
+            assert matrix_attached_double_det(irrep, sigma, irrep.alpha) != capelli_element(irrep)
 
 
 def _shift_oracle_irreps():
@@ -494,17 +493,17 @@ def test_centrality_fails_on_tampered_irrep():
 
 
 def test_render_standard_capelli():
-    text = render_capelli(capelli_element(STD).poly)
+    text = render_capelli(capelli_element(STD))
     assert text == "(-5*z + z^2)*e + z*(123) + z*(132)"
 
 
 def test_render_evaluated_element():
-    value = capelli_element(STD).poly(Fraction(-1))
+    value = capelli_element(STD)(Fraction(-1))
     assert str(value) == "6*e - (123) - (132)"
 
 
 def test_capelli_element_dataclass_str():
+    # the Capelli element is the z-polynomial itself, with no wrapper
     element = capelli_element(STD)
-    assert isinstance(element, CapelliElement)
-    assert element.irrep_label == "std"
+    assert isinstance(element, ZPoly)
     assert "z^2" in str(element)

@@ -96,6 +96,19 @@ def test_capelli_json_payload(capsys):
     assert {e["irrep"] for e in payload["elements"]} == {"triv", "sgn", "std"}
 
 
+def test_capelli_out_writes_json_in_text_format(tmp_path, capsys):
+    # as with verify, --out writes the JSON payload whatever --format says
+    out_path = tmp_path / "o.json"
+    code, out, _ = run(capsys, "capelli", "--group", "S3", "--out", str(out_path))
+    assert code == 0
+    assert "C^std(z) = (-5*z + z^2)*e + z*(123) + z*(132)" in out
+    payload = json.loads(out_path.read_text())
+    assert payload["group"] == "S3"
+    assert [e["irrep"] for e in payload["elements"]] == ["triv", "sgn", "std"]
+    _, json_out, _ = run(capsys, "capelli", "--group", "S3", "--format", "json")
+    assert json.loads(json_out) == payload
+
+
 def test_unknown_group_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "capelli", "--group", "nope")
@@ -131,12 +144,14 @@ def test_verify_report_schema_round_trip(tmp_path, capsys):
     assert isinstance(payload["version"], str)
     assert payload["group"] == "S3"
     assert isinstance(payload["runtime_ms"], int)
+    # one time per check, in run order, and none per result
+    assert list(payload["check_ms"]) == ["schur", "e-basis", "det-variants"]
+    assert all(isinstance(ms, int) and ms >= 0 for ms in payload["check_ms"].values())
     assert payload["failures"] == 0
     for entry in payload["results"]:
-        assert set(entry) == {"name", "check", "irrep", "status", "detail", "runtime_ms"}
+        assert set(entry) == {"name", "check", "irrep", "status", "detail"}
         assert entry["name"] in CHECKS
         assert entry["status"] in VALID_STATUSES
-        assert isinstance(entry["runtime_ms"], int)
     # round trip: serialize -> parse -> identical structure
     assert json.loads(json.dumps(payload)) == payload
 
@@ -458,7 +473,7 @@ def test_sweep_expect_names_the_first_differing_row(tmp_path, capsys):
     data = json.loads(saved.read_text())
     rows = data["results"]
     for row in rows:
-        row["runtime_ms"] += 1  # not part of the comparison
+        row["runtime_ms"] = 1  # a field outside ROW_KEYS is not compared
     index = next(i for i, r in enumerate(rows) if (r["group"], r["name"]) == ("S3", "det-variants"))
     rows[index]["detail"] = "matching shifts: none"
     edited = tmp_path / "edited.json"

@@ -402,9 +402,9 @@ def test_s4_character_table_matches_textbook_values():
     from capelli_lab.groups import conjugacy_classes
 
     s4 = catalog_irreps("S4")
-    partition = conjugacy_classes(s4.group)
-    sizes = [len(c) for c in partition.classes]
-    reps = [c[0] for c in partition.classes]
+    classes = conjugacy_classes(s4.group)
+    sizes = [len(c) for c in classes]
+    reps = [c[0] for c in classes]
     by_size = {}
     for cls_index, size in enumerate(sizes):
         by_size.setdefault(size, []).append(cls_index)
@@ -437,10 +437,10 @@ def test_a4_standard_character():
     std = a4.by_label("std")
     from capelli_lab.groups import conjugacy_classes
 
-    partition = conjugacy_classes(a4.group)
+    classes = conjugacy_classes(a4.group)
     # classes: e (1), double transpositions (3), two classes of 3-cycles (4, 4)
     values = sorted(
-        (len(cls), std.character(cls[0]).as_rational()) for cls in partition.classes
+        (len(cls), std.character(cls[0]).as_rational()) for cls in classes
     )
     assert values == [(1, 3), (3, -1), (4, 0), (4, 0)]
 

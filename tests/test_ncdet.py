@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capelli_lab.capelli import capelli_element, verify_centrality
+from capelli_lab.catalog import catalog_irreps
+from capelli_lab.irreps import E_matrix, Irrep, IrrepSet, verify_schur_products
 from capelli_lab.ncdet import (
     SizeLimit,
     ZPoly,
@@ -14,14 +17,23 @@ from capelli_lab.ncdet import (
     conjugate,
     conjugated_capelli_zpolys,
     doubledet,
+    gl_relation_witness,
     natural_shift,
     natural_sigma,
     natural_star,
+    noncommuting_entry,
     positioned_doubledet,
     rowdet,
     shift_variants,
 )
-from capelli_lab.weyl import WeylContext, WeylOp
+from capelli_lab.weyl import (
+    WeylContext,
+    WeylOp,
+    build_generic,
+    commutator,
+    verify_capelli_properties,
+    verify_pi_relations,
+)
 from helpers import FreeWord, _perm_sign, double_sum_by_permutations, leibniz_det
 
 
@@ -354,3 +366,175 @@ def test_conjugated_capelli_zpolys_follow_the_family_order():
     got = conjugated_capelli_zpolys(matrix, Fraction(2), one, [(identity, identity), (swap, swap)])
     assert got == [capelli_zpoly(matrix, Fraction(2), one),
                    capelli_zpoly([[d, c], [b, a]], Fraction(2), one)]
+
+
+# -- the witness searches both rings share -------------------------------------------
+
+
+def _first_gl_failure(matrix, alpha, bracket):
+    """The first failing gl_m relation by a plain scan of every index 4-tuple."""
+    m = len(matrix)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    if (k, l) <= (i, j):
+                        continue
+                    rhs = FreeWord()
+                    if j == k:
+                        rhs = rhs + alpha * matrix[i][l]
+                    if i == l:
+                        rhs = rhs - alpha * matrix[k][j]
+                    if bracket(i, j, k, l) != rhs:
+                        return (i, j, k, l)
+    return None
+
+
+def _planted_bracket(matrix, alpha, planted):
+    """A bracket that satisfies every gl_m relation except at the planted
+    tuples, where it is off by a fresh symbol."""
+    def bracket(i, j, k, l):
+        value = FreeWord()
+        if j == k:
+            value = value + alpha * matrix[i][l]
+        if i == l:
+            value = value - alpha * matrix[k][j]
+        return value + FreeWord.symbol("p") if (i, j, k, l) in planted else value
+    return bracket
+
+
+def _entry_commutator(matrix):
+    return lambda i, j, k, l: matrix[i][j] * matrix[k][l] - matrix[k][l] * matrix[i][j]
+
+
+_alphas = st.sampled_from([Fraction(1), Fraction(3), Fraction(-5, 2)])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_gl_relation_witness_is_first_hit_of_brute_scan(m, data):
+    matrix = data.draw(_square(_oracle_words, m))
+    alpha = data.draw(_alphas)
+    planted = set(data.draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * 4), max_size=3)))
+    for bracket in (_planted_bracket(matrix, alpha, planted), _entry_commutator(matrix)):
+        assert gl_relation_witness(matrix, alpha, bracket) == _first_gl_failure(
+            matrix, alpha, bracket)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_gl_relation_witness_reads_only_pairs_above_the_diagonal(m):
+    matrix = [[FreeWord.symbol(f"a{i}{j}") for j in range(m)] for i in range(m)]
+    alpha = Fraction(3)
+    last = (m - 1, m - 2, m - 1, m - 1)
+    below = [t for t in product(range(m), repeat=4) if t[2:] <= t[:2]]
+    assert gl_relation_witness(matrix, alpha, _planted_bracket(matrix, alpha, set())) is None
+    assert gl_relation_witness(matrix, alpha, _planted_bracket(matrix, alpha, set(below))) is None
+    assert gl_relation_witness(matrix, alpha, _planted_bracket(matrix, alpha, {last})) == last
+    assert gl_relation_witness(matrix, alpha, _planted_bracket(
+        matrix, alpha, {last, (0, 1, 1, 0)})) == (0, 1, 1, 0)
+
+
+def _commute(a, b):
+    return a * b == b * a
+
+
+def _first_noncommuting(matrix, values, commute):
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            for v in values:
+                if not commute(entry, v):
+                    return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_noncommuting_entry_is_first_hit_of_brute_scan(m, data):
+    # the words over a, b, c include constants and the zero, which commute
+    matrix = data.draw(_square(_oracle_words, m))
+    values = data.draw(st.lists(_oracle_words, max_size=3))
+    assert noncommuting_entry(matrix, values, _commute) == _first_noncommuting(
+        matrix, values, _commute)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_noncommuting_entry_reads_every_value(m):
+    # only the last value fails to commute with the one non-scalar entry
+    x = FreeWord.symbol("x")
+    matrix = [[FreeWord.const(i + j + 1) for j in range(m)] for i in range(m)]
+    matrix[m - 1][m - 2] = x * x + FreeWord.const(2)
+    values = [FreeWord.const(3), x, x * x, FreeWord.symbol("y")]
+    assert noncommuting_entry(matrix, values, _commute) == (m - 1, m - 2)
+    assert noncommuting_entry(matrix, values[:-1], _commute) is None
+    assert noncommuting_entry(matrix, [], _commute) is None
+
+
+@pytest.mark.parametrize("m, alpha", [(1, Fraction(1)), (2, Fraction(1)), (2, Fraction(5, 2)),
+                                      (3, Fraction(3))])
+def test_witness_searches_find_nothing_on_the_generic_pi(m, alpha):
+    ctx, _, _, pi = build_generic(m, alpha)
+    assert gl_relation_witness(pi, alpha, lambda i, j, k, l: commutator(pi[i][j], pi[k][l])) is None
+    coeffs = capelli_zpoly(pi, alpha, WeylOp.one(ctx)).coeffs
+    assert noncommuting_entry(pi, coeffs, lambda a, b: not commutator(a, b)) is None
+
+
+@pytest.mark.parametrize("name", ["S3", "A4"])
+def test_witness_searches_find_nothing_on_std_e(name):
+    std = catalog_irreps(name).by_label("std")
+    em = E_matrix(std)
+    assert gl_relation_witness(em, std.alpha, _entry_commutator(em)) is None
+    assert noncommuting_entry(em, capelli_element(std).coeffs, _commute) is None
+
+
+# each failure detail below was recorded from the per-ring loops that the
+# witness searches replaced
+
+
+@pytest.mark.parametrize("m, expected", [(2, "tuple (1, 2, 2, 1)"), (3, "tuple (1, 3, 3, 1)")])
+def test_pi_relations_failure_detail(m, expected):
+    _, _, _, pi = build_generic(m, Fraction(1))
+    pi[m - 1][m - 1] = pi[m - 1][m - 1] + pi[m - 1][m - 1]
+    [result] = verify_pi_relations(pi, 1).results
+    assert (result.check, result.status, result.detail) == ("pi-relations", "fail", expected)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_capelli_central_failure_detail(m):
+    _, xm, _, pi = build_generic(m, Fraction(1))
+    pi[m - 1][0] = pi[m - 1][0] + xm[0][0]
+    got = [(r.status, r.detail) for r in verify_capelli_properties(pi, 1).results
+           if r.check == "capelli-central"]
+    assert got == [("fail", "[Pi_11, C(z)] != 0")]
+
+
+def _s3_with_std_entry_x3():
+    """S3's irreps with entry (0, 1) of std's last matrix times 3: not an
+    irrep, and not validated."""
+    irreps = catalog_irreps("S3")
+    std = irreps.by_label("std")
+    mats = [[list(row) for row in mat] for mat in std.matrices]
+    mats[-1][0][-1] = 3 * mats[-1][0][-1]
+    mutant = Irrep("std", std.group, std.degree, tuple(tuple(map(tuple, mat)) for mat in mats))
+    return mutant, IrrepSet(irreps.group, (irreps.by_label("triv"), irreps.by_label("sgn"), mutant))
+
+
+def test_commutes_with_e_failure_detail():
+    mutant, irrep_set = _s3_with_std_entry_x3()
+    got = [(r.check, r.irrep, r.status, r.detail)
+           for r in verify_centrality(mutant, irrep_set).results]
+    assert got == [("coefficients-central", "std", "fail", ""),
+                   ("commutes-with-E", "std|triv", "pass", ""),
+                   ("commutes-with-E", "std|sgn", "pass", ""),
+                   ("commutes-with-E", "std|std", "fail", "[E^std_12, C(z)] != 0")]
+
+
+def test_schur_failure_details():
+    _, irrep_set = _s3_with_std_entry_x3()
+    got = [(r.check, r.irrep, r.detail) for r in verify_schur_products(irrep_set).failures()]
+    assert got == [("schur-product", "std", "E_11 E_12 != alpha*delta*E_12"),
+                   ("schur-cross", "triv|std", "E^triv_11 E^std_12 != 0"),
+                   ("schur-cross", "sgn|std", "E^sgn_11 E^std_12 != 0"),
+                   ("schur-cross", "std|triv", "E^std_12 E^triv_11 != 0"),
+                   ("schur-cross", "std|sgn", "E^std_12 E^sgn_11 != 0")]

@@ -10,14 +10,13 @@ from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS
 from capelli_lab.cyclo import Cyclo, cyclo_degree
 from capelli_lab.irreps import Irrep, IrrepSet
-from capelli_lab.ncdet import SizeLimit, coldet
+from capelli_lab.ncdet import SizeLimit, capelli_zpoly, coldet
 from capelli_lab.weyl import (
     GENERIC_SIZE_LIMIT,
     ContextMismatch,
     WeylContext,
     WeylOp,
     build_generic,
-    capelli_zpoly,
     commutator,
     transpose_product,
     verify_capelli,
@@ -344,7 +343,7 @@ def test_rep_identity_above_generic_size_limit_is_skipped():
 
 def test_capelli_zpoly_m1():
     ctx, xm, dm, pi = build_generic(1, Fraction(1))
-    cz = capelli_zpoly(pi, Fraction(1))
+    cz = capelli_zpoly(pi, Fraction(1), WeylOp.one(ctx))
     assert cz.degree == 1
     assert cz.coeffs[0] == pi[0][0]
     assert cz.coeffs[1] == -WeylOp.one(ctx)
@@ -353,7 +352,7 @@ def test_capelli_zpoly_m1():
 def test_capelli_zpoly_at_zero_is_identity_lhs():
     for m, alpha in ((2, Fraction(1)), (2, Fraction(3))):
         ctx, xm, dm, pi = build_generic(m, alpha)
-        cz = capelli_zpoly(pi, alpha)
+        cz = capelli_zpoly(pi, alpha, WeylOp.one(ctx))
         at_zero = cz.coeffs[0]
         assert at_zero == coldet(xm) * coldet(dm)
 
@@ -361,7 +360,7 @@ def test_capelli_zpoly_at_zero_is_identity_lhs():
 def test_capelli_zpoly_rep_degree_two():
     std = catalog_irreps("S3").by_label("std")
     _, _, pi = rep_matrices(std)
-    cz = capelli_zpoly(pi, std.alpha)
+    cz = capelli_zpoly(pi, std.alpha, WeylOp.one(pi[0][0].context))
     assert cz.degree == 2
     assert cz.coeffs[2] == WeylOp.one(pi[0][0].context)
 
@@ -376,7 +375,7 @@ def test_capelli_properties_generic(m, alpha):
 
 def test_m1_commutator_with_capelli_poly():
     ctx, xm, dm, pi = build_generic(1, Fraction(1))
-    cz = capelli_zpoly(pi, Fraction(1))
+    cz = capelli_zpoly(pi, Fraction(1), WeylOp.one(ctx))
     for coeff in cz.coeffs:
         assert not commutator(pi[0][0], coeff)
 
