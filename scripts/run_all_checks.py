@@ -3,7 +3,8 @@
 
 This is the long-form experiment: it runs every check through the same
 `run_checks` as `capelli-lab verify`, over the whole catalog, prints a
-status matrix, and writes the combined JSON report when asked.
+status matrix, and writes the combined JSON report when asked: the result
+rows, and per group the check_ms map of `verify`.
 
     python scripts/run_all_checks.py [--out report.json] [--groups S3,Q8]
                                      [--expect saved.json]
@@ -41,7 +42,7 @@ def main(argv=None):
         print(f"error: unknown groups {unknown}; try one of {', '.join(catalog_names())}",
               file=sys.stderr)
         return 2
-    combined = []
+    combined, check_ms = [], {}
     grand = Counter()
     seconds = Counter()
     started = time.monotonic()
@@ -50,6 +51,7 @@ def main(argv=None):
         row = {}
         for check, elapsed, rows in run_checks(irrep_set, list(CHECKS)):
             seconds[check] += elapsed
+            check_ms.setdefault(name, {})[check] = int(elapsed * 1000)
             statuses = Counter(r["status"] for r in rows)
             grand.update(statuses)
             row[check] = "FAIL" if statuses.get("fail") else "ok"
@@ -63,7 +65,8 @@ def main(argv=None):
     print("seconds per check: " + " ".join(f"{check}={seconds[check]:.2f}" for check in CHECKS))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"tool": "capelli-lab", "results": combined}, fh, indent=2)
+            json.dump({"tool": "capelli-lab", "results": combined, "check_ms": check_ms}, fh,
+                      indent=2)
         print(f"wrote {args.out}")
     if args.expect:
         with open(args.expect) as fh:

@@ -471,6 +471,8 @@ def test_sweep_expect_names_the_first_differing_row(tmp_path, capsys):
     assert "rows identical to" in capsys.readouterr().out
 
     data = json.loads(saved.read_text())
+    assert {group: list(times) for group, times in data["check_ms"].items()} == {
+        "C2": list(CHECKS), "S3": list(CHECKS)}
     rows = data["results"]
     for row in rows:
         row["runtime_ms"] = 1  # a field outside ROW_KEYS is not compared
