@@ -187,6 +187,41 @@ MUTANTS = (
         "if False:",
         ("tests/test_groups.py::test_table_checks_match_reference",),
     ),
+    # the Taylor shift against the binomial expansion
+    Mutant(
+        "zpoly-shift-last-pass-dropped", "src/capelli_lab/ncdet.py",
+        "for j in range(len(coeffs) - 2, k - 1, -1):",
+        "for j in range(len(coeffs) - 2, k, -1):",
+        ("tests/test_ncdet.py::test_zpoly_shift_against_binomial_expansion",),
+    ),
+    # convolution through the Cayley table against the naive double sum
+    Mutant(
+        "convolution-operands-swapped", "src/capelli_lab/algebra.py",
+        "k = row[h]",
+        "k = table[h][g]",
+        ("tests/test_algebra.py::test_convolution_against_oracle",),
+    ),
+    # Phi_n as a Moebius product against the divide-out loop
+    Mutant(
+        "cyclotomic-mobius-of-the-divisor", "src/capelli_lab/cyclo.py",
+        "if _mobius(n // d) == 1:",
+        "if _mobius(d) == 1:",
+        ("tests/test_cyclo.py::test_cyclotomic_polynomial_against_divide_out_loop",),
+    ),
+    # unitarity over every pair of rows against the per-pair check
+    Mutant(
+        "unitarity-diagonal-pairs-only", "src/capelli_lab/irreps.py",
+        "for j in range(i, m):",
+        "for j in range(i, i + 1):",
+        ("tests/test_irreps.py::test_validate_matches_per_pair_oracle",),
+    ),
+    # the one term formatter behind every rendered value
+    Mutant(
+        "format-sum-parentheses-dropped", "src/capelli_lab/cyclo.py",
+        'cs = f"({cs})"',
+        "cs = cs",
+        ("tests/test_cli.py::test_capelli_elements_match_the_benchmark_golden",),
+    ),
     # the prefix-sharing expansion behind coldet and the double determinants
     Mutant(
         "expand-left-multiplication", "src/capelli_lab/ncdet.py",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, format_sum
 from .groups import Group, conjugacy_classes, exponent
 
 
@@ -131,6 +131,11 @@ class AlgebraElement:
 
     def is_central(self) -> bool:
         """True iff the element commutes with every group basis element."""
+        return self.noncommuting_element() is None
+
+    def noncommuting_element(self) -> int | None:
+        """The first group element g, by index, with g*a != a*g, or None.
+        At k, g*a has the coefficient a[g^-1 k] and a*g has a[k g^-1]."""
         table = self.group.table
         inv = self.group.inverses
         n = self.group.order
@@ -139,8 +144,8 @@ class AlgebraElement:
             row = table[gi]
             for k in range(n):
                 if self.coeffs[table[k][gi]] != self.coeffs[row[k]]:
-                    return False
-        return True
+                    return g
+        return None
 
     def coordinates_in_class_sums(self, classes=None):
         """Coordinates over the class-sum basis; NotCentral when the
@@ -161,26 +166,7 @@ class AlgebraElement:
 
     def __str__(self):
         names = self.group.element_names
-        parts = []
-        for g, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = str(c)
-            if cs == "1":
-                term = names[g]
-            elif cs == "-1":
-                term = "-" + names[g]
-            elif any(op in cs[1:] for op in ("+", "- ")):
-                term = f"({cs})*{names[g]}"
-            else:
-                term = f"{cs}*{names[g]}"
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts) if parts else "0"
+        return format_sum((c, names[g]) for g, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"AlgebraElement({self.group.name}: {self})"

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraElement, character_element
+from .cyclo import format_sum
 from .groups import conjugacy_classes
 from .irreps import E_matrix, Irrep, IrrepSet
 from .ncdet import (ZPoly, capelli_zpoly, conjugated_capelli_zpolys, noncommuting_entry,
@@ -131,8 +132,10 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
     entry of its own irrep and of every inequivalent one."""
     report = Report()
     poly = capelli_element(irrep)
-    ok = all(c.is_central() for c in poly.coeffs)
-    report.add("coefficients-central", irrep.label, ok)
+    bad = [(k, c) for k, c in enumerate(poly.coeffs) if not c.is_central()]
+    report.add("coefficients-central", irrep.label, not bad, "" if not bad else (
+        f"the coefficient of z^{bad[0][0]} does not commute with "
+        f"{irrep.group.element_names[bad[0][1].noncommuting_element()]}"))
 
     others = [irrep] if irrep_set is None else list(irrep_set.irreps)
     for other in others:
@@ -267,35 +270,15 @@ def verify_det_variants(irrep: Irrep) -> Report:
 
 
 def render_capelli(poly: ZPoly) -> str:
-    """Group the z-polynomial by group element: (z^2 - 5*z)*e + z*(123) + ..."""
+    """Group the z-polynomial by group element: (z^2 - 5*z)*e + z*(123) + ...
+    An element's coefficient is its z-polynomial, or the constant when that
+    has degree 0, so a constant sum is parenthesized once."""
     if not poly.coeffs:
         return "0"
     group = poly.coeffs[0].group
-    parts = []
-    for g in range(group.order):
-        zcoeffs = [c.coeffs[g] for c in poly.coeffs]
-        while zcoeffs and not zcoeffs[-1]:
-            zcoeffs.pop()
-        if not zcoeffs:
-            continue
-        terms = []
-        for power, c in enumerate(zcoeffs):
-            if not c:
-                continue
-            zpart = "" if power == 0 else ("z" if power == 1 else f"z^{power}")
-            cs = str(c)
-            if zpart and cs == "1":
-                terms.append(zpart)
-            elif zpart and cs == "-1":
-                terms.append("-" + zpart)
-            elif zpart:
-                terms.append(f"{cs}*{zpart}" if " " not in cs else f"({cs})*{zpart}")
-            else:
-                terms.append(cs)
-        body = " + ".join(terms).replace("+ -", "- ")
-        name = group.element_names[g]
-        if len(terms) == 1 and " " not in body:
-            parts.append(f"{body}*{name}" if body not in ("1", "-1") else (name if body == "1" else f"-{name}"))
-        else:
-            parts.append(f"({body})*{name}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    terms = []
+    for g, name in enumerate(group.element_names):
+        p = ZPoly([c.coeffs[g] for c in poly.coeffs])
+        if p:
+            terms.append((p.coeffs[0] if p.degree == 0 else p, name))
+    return format_sum(terms)

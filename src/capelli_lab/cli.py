@@ -142,11 +142,7 @@ def run_checks(irrep_set: IrrepSet, names):
         except Exception as exc:  # a crash inside one check is a failure, not an abort
             entries = [CheckResult(name, "*", "fail", f"crashed: {exc!r}")]
         elapsed = time.monotonic() - started
-        yield name, elapsed, [
-            {"name": name, "check": e.check, "irrep": e.irrep, "status": e.status,
-             "detail": e.detail}
-            for e in entries
-        ]
+        yield name, elapsed, [{"name": name, **e.to_dict()} for e in entries]
 
 
 # -- selector resolution -----------------------------------------------------------

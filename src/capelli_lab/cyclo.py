@@ -386,27 +386,32 @@ class Cyclo:
 
     def __str__(self):
         n = self.conductor
-        if not self:
-            return "0"
-        parts = []
-        for i, v in enumerate(self.num):
-            if not v:
-                continue
-            q = Fraction(v, self.den)
-            if i == 0:
-                term = str(q)
-            else:
-                base = f"ζ{n}" if i == 1 else f"ζ{n}^{i}"
-                if q == 1:
-                    term = base
-                elif q == -1:
-                    term = "-" + base
-                else:
-                    term = f"{q}*{base}"
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts)
+        powers = ["", f"ζ{n}"] + [f"ζ{n}^{i}" for i in range(2, len(self.num))]
+        return format_sum((Fraction(v, self.den), powers[i]) for i, v in enumerate(self.num) if v)
+
+
+def format_sum(terms) -> str:
+    """(coefficient, monomial) pairs, zeros left out and "" the monomial of
+    a constant, as text: a coefficient holding a space is parenthesized, 1
+    and -1 before a monomial are dropped to its sign, and a later term
+    joins with " - " when it starts with "-", else " + "; "0" if empty."""
+    out = ""
+    for coefficient, monomial in terms:
+        cs = str(coefficient)
+        if " " in cs:
+            cs = f"({cs})"
+        if not monomial:
+            term = cs
+        elif cs == "1":
+            term = monomial
+        elif cs == "-1":
+            term = "-" + monomial
+        else:
+            term = f"{cs}*{monomial}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"

@@ -28,6 +28,8 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+from .cyclo import format_sum
+
 
 class SizeLimit(ValueError):
     """Matrix size beyond the enumeration limit."""
@@ -277,24 +279,8 @@ class ZPoly:
         return acc
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            zpart = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
-            cs = str(c)
-            if zpart and cs == "1":
-                term = zpart
-            elif zpart and cs == "-1":
-                term = "-" + zpart
-            elif zpart:
-                term = f"({cs})*{zpart}" if (" " in cs) else f"{cs}*{zpart}"
-            else:
-                term = f"({cs})" if " " in cs else cs
-            parts.append(term)
-        return " + ".join(parts)
+        powers = ["", "z"] + [f"z^{i}" for i in range(2, len(self.coeffs))]
+        return format_sum((c, powers[i]) for i, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"ZPoly({self})"

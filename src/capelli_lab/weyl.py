@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from . import linalg, ncdet
-from .cyclo import Cyclo
+from .cyclo import Cyclo, format_sum
 from .irreps import Irrep, _conjugate_sums, _coordinates
 from .ncdet import SizeLimit, add_diagonal, coldet, natural_shift
 from .reports import CheckResult, Report
@@ -220,30 +220,14 @@ class WeylOp:
     __hash__ = None
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = self.context.names
-        rendered = []
-        for (xd, dd) in sorted(self.terms.keys()):
-            c = self.terms[(xd, dd)]
-            monos = []
-            for v, e in enumerate(xd):
-                if e:
-                    monos.append(f"x{names[v]}" + (f"^{e}" if e > 1 else ""))
-            for v, e in enumerate(dd):
-                if e:
-                    monos.append(f"d{names[v]}" + (f"^{e}" if e > 1 else ""))
-            body = "*".join(monos)
-            cs = str(c)
-            if not body:
-                rendered.append(cs if " " not in cs else f"({cs})")
-            elif cs == "1":
-                rendered.append(body)
-            elif cs == "-1":
-                rendered.append("-" + body)
-            else:
-                rendered.append((f"({cs})" if " " in cs else cs) + "*" + body)
-        return " + ".join(rendered).replace("+ -", "- ")
+
+        def powers(letter, exponents):
+            return [f"{letter}{names[v]}" + (f"^{e}" if e > 1 else "")
+                    for v, e in enumerate(exponents) if e]
+
+        return format_sum((c, "*".join(powers("x", xd) + powers("d", dd)))
+                          for (xd, dd), c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"WeylOp({self})"

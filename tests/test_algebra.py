@@ -100,6 +100,17 @@ def test_single_transposition_not_central():
     assert a * b != b * a
 
 
+def test_noncommuting_element_is_the_first_by_products():
+    """On every basis element of S3 and on the sum of one transposition
+    and a 3-cycle: the first g with g*a != a*g, found by products."""
+    basis = [AlgebraElement.basis(S3, g) for g in range(S3.order)]
+    mixed = basis[S3_NAMES["(12)"]] + basis[S3_NAMES["(123)"]]
+    for a in basis + [mixed]:
+        first = next((g for g, b in enumerate(basis) if a * b != b * a), None)
+        assert a.noncommuting_element() == first
+        assert a.is_central() == (first is None)
+
+
 def test_class_sum_of_identity_class():
     assert class_sum(S3, (S3.identity,)) == AlgebraElement.identity(S3)
 
@@ -206,10 +217,11 @@ def test_convolution_associative_and_distributive(a, b, c):
     assert (a + b) * c == a * c + b * c
 
 
-@given(algebra_elements())
+@given(algebra_elements(), algebra_elements())
 @settings(max_examples=40)
-def test_convolution_against_oracle(a):
-    b = a + AlgebraElement.identity(S3)
+def test_convolution_against_oracle(a, b):
+    # two independent factors: a and a + 1 commute, so they would not
+    # tell a*b from b*a
     oracle = naive_convolve(S3.table, a.coeffs, b.coeffs, Cyclo.zero(6))
     assert list((a * b).coeffs) == oracle
 

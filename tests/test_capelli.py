@@ -26,8 +26,8 @@ from capelli_lab.capelli import (
 )
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
-from capelli_lab.groups import conjugacy_classes, group_from_dict
-from capelli_lab.irreps import E_matrix, irrep_from_dict
+from capelli_lab.groups import build_group_from_table, conjugacy_classes, group_from_dict
+from capelli_lab.irreps import E_matrix, Irrep, irrep_from_dict
 from capelli_lab.ncdet import ZPoly, natural_sigma, natural_star, rowdet, shift_variants
 from helpers import (
     double_sum_by_permutations,
@@ -500,6 +500,20 @@ def test_render_standard_capelli():
 def test_render_evaluated_element():
     value = capelli_element(STD)(Fraction(-1))
     assert str(value) == "6*e - (123) - (132)"
+
+
+def test_render_prints_element_names_verbatim():
+    """An element name holding "+ -" is printed as it stands: the terms
+    are joined term by term, not by rewriting the joined text."""
+    group = build_group_from_table("C2", ["e", "a + -b"], [[0, 1], [1, 0]])
+    sgn = Irrep("sgn", group, 1, (((Cyclo.rational(1, 2),),), ((Cyclo.rational(-1, 2),),)))
+    assert render_capelli(capelli_element(sgn)) == "(1 - z)*e - a + -b"
+
+
+def test_zpoly_str_joins_a_negative_term_with_minus():
+    assert str(ZPoly([1, -1])) == "1 - z"
+    assert str(ZPoly([Fraction(-1, 2), 0, 3])) == "-1/2 + 3*z^2"
+    assert str(ZPoly([Cyclo(3, [1, 1])])) == "(1 + ζ3)"
 
 
 def test_capelli_element_dataclass_str():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from capelli_lab import cli, groups
-from capelli_lab.catalog import catalog_group, catalog_irreps
+from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS, main
 from capelli_lab.groups import group_to_dict, load_group
 from capelli_lab.irreps import irrep_to_dict, load_irrep
@@ -94,6 +94,29 @@ def test_capelli_json_payload(capsys):
     payload = json.loads(out)
     assert payload["group"] == "S3"
     assert {e["irrep"] for e in payload["elements"]} == {"triv", "sgn", "std"}
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_capelli_elements_match_the_benchmark_golden(capsys, name):
+    """The rendered Capelli elements of every catalog group, as the
+    benchmark's capelli jobs must print them (golden.json, read only)."""
+    code, out, _ = run(capsys, "capelli", "--group", name, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["elements"] == json.loads(GOLDEN.read_text())[f"capelli/{name}"]
+
+
+def test_det_equalities_renders_a_multi_term_constant(capsys):
+    # the one report detail that prints a constant ZPoly of several WeylOp terms
+    code, out, _ = run(capsys, "verify", "--group", "C2", "--checks", "det-equalities",
+                       "--format", "json")
+    assert code == 0
+    details = {r["irrep"]: r["detail"] for r in json.loads(out)["results"]
+               if r["check"] == "doubledet-matrix"}
+    assert details["m=2 sigma=(1, 2)"] == (
+        "differs by (1/2*x22*d22 - 1/2*x21*d21 + 1/2*x12*d12 - 1/2*x11*d11)")
 
 
 def test_capelli_out_writes_json_in_text_format(tmp_path, capsys):

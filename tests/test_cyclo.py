@@ -12,6 +12,7 @@ from capelli_lab.cyclo import (
     NotDivisible,
     cyclo_degree,
     cyclotomic_polynomial,
+    format_sum,
 )
 from helpers import cyclotomic_by_division, poly_divmod, poly_mul, reduce_mod, zeta_power_coeffs
 
@@ -290,3 +291,18 @@ def test_promotion_is_injective_on_values(a):
     lifted = a.promote(a.conductor * 2)
     assert lifted == a
     assert (not a) == (not lifted)
+
+
+# -- rendering -------------------------------------------------------------------
+
+
+def test_format_sum_rules():
+    assert format_sum([]) == "0"
+    # a coefficient 1 or -1 before a monomial is dropped; a constant keeps it
+    assert format_sum([(1, "x"), (-1, "y"), (1, ""), (-1, "")]) == "x - y + 1 - 1"
+    # a coefficient with a space is parenthesized, before a monomial or alone
+    assert format_sum([("a - b", "x"), ("a + b", "")]) == "(a - b)*x + (a + b)"
+    # a later term with a leading "-" is joined by " - "; the first stays as is
+    assert format_sum([(Fraction(-1, 2), "x"), (-3, "y"), (2, "z")]) == "-1/2*x - 3*y + 2*z"
+    # a monomial is printed verbatim, whatever it holds
+    assert format_sum([(1, "e"), (-1, "a + -b"), (2, "-c")]) == "e - a + -b + 2*-c"

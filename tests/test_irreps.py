@@ -140,9 +140,15 @@ def _add_one_bottom_left(block):
     block[-1][0] = block[-1][0] + 1
 
 
+def _copy_first_row_down(block):
+    block[1] = list(block[0])
+
+
 def mutants(irrep):
     """At each element g: the matrices of g and the next element swapped,
-    the first nonzero entry negated, and the bottom-left entry plus 1."""
+    the first nonzero entry negated, the bottom-left entry plus 1, and
+    from degree 2 the first row copied into the second (rows of norm one
+    that are not orthogonal, which a monomial irrep never has otherwise)."""
     mats = irrep.matrices
     n = len(mats)
     for g in range(n):
@@ -152,6 +158,8 @@ def mutants(irrep):
         yield tuple(swapped)
         yield _with_block(mats, g, _negate_first_nonzero)
         yield _with_block(mats, g, _add_one_bottom_left)
+        if irrep.degree >= 2:
+            yield _with_block(mats, g, _copy_first_row_down)
 
 
 @pytest.mark.parametrize("name", catalog_names())

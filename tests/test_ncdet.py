@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capelli_lab.algebra import AlgebraElement
 from capelli_lab.capelli import capelli_element, verify_centrality
 from capelli_lab.catalog import catalog_irreps
 from capelli_lab.irreps import E_matrix, Irrep, IrrepSet, verify_schur_products
@@ -524,10 +525,15 @@ def test_commutes_with_e_failure_detail():
     mutant, irrep_set = _s3_with_std_entry_x3()
     got = [(r.check, r.irrep, r.status, r.detail)
            for r in verify_centrality(mutant, irrep_set).results]
-    assert got == [("coefficients-central", "std", "fail", ""),
+    assert got == [("coefficients-central", "std", "fail",
+                    "the coefficient of z^0 does not commute with (12)"),
                    ("commutes-with-E", "std|triv", "pass", ""),
                    ("commutes-with-E", "std|sgn", "pass", ""),
                    ("commutes-with-E", "std|std", "fail", "[E^std_12, C(z)] != 0")]
+    # the named element is a true witness, checked by products
+    c0 = capelli_element(mutant).coeffs[0]
+    g = AlgebraElement.basis(c0.group, c0.group.element_names.index("(12)"), c0.conductor)
+    assert c0 * g != g * c0
 
 
 def test_schur_failure_details():
