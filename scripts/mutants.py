@@ -46,22 +46,22 @@ MUTANTS = (
     # the Weyl relations as orthogonality sums of matrix coefficients
     Mutant(
         "conjugation-dropped", "src/capelli_lab/irreps.py",
-        "conj = [_substitute_lists(ys, conductor - 1, conductor, rows) for ys in ys_values]",
+        "conj = [_conjugate(ys, conductor, rows) for ys in ys_values]",
         "conj = ys_values",
         ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",
          "tests/test_irreps.py::test_character_inner_product_matches_per_element_oracle"),
     ),
     Mutant(
-        "relation-target-without-denominator", "src/capelli_lab/weyl.py",
+        "relation-target-without-denominator", "src/capelli_lab/irreps.py",
         "target = alpha * den * den if (i, j) == (k, l) else 0",
         "target = alpha if (i, j) == (k, l) else 0",
         ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",
          "tests/test_weyl.py::test_rep_relation_mutants_fail_where_expected"),
     ),
     Mutant(
-        "relation-last-witness", "src/capelli_lab/weyl.py",
-        "            witness = str((i, j, k, l))\n            break\n",
-        "            witness = str((i, j, k, l))\n",
+        "relation-last-witness", "src/capelli_lab/irreps.py",
+        "for i, j, k, l in product(range(m), repeat=4):",
+        "for i, j, k, l in reversed(list(product(range(m), repeat=4))):",
         ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",),
     ),
     # the catalog irreps induced from linear characters, against their
@@ -209,6 +209,14 @@ MUTANTS = (
         ("tests/test_cyclo.py::test_cyclotomic_polynomial_against_divide_out_loop",),
     ),
     # unitarity over every pair of rows against the per-pair check
+    # irreducibility through the character inner product, against the
+    # per-element sum
+    Mutant(
+        "irreducibility-any-nonzero-norm", "src/capelli_lab/irreps.py",
+        "irrep.label, norm == 1,",
+        "irrep.label, norm != 0,",
+        ("tests/test_irreps.py::test_reducible_character_rejected",),
+    ),
     Mutant(
         "unitarity-diagonal-pairs-only", "src/capelli_lab/irreps.py",
         "for j in range(i, m):",
@@ -221,6 +229,15 @@ MUTANTS = (
         'cs = f"({cs})"',
         "cs = cs",
         ("tests/test_cli.py::test_capelli_elements_match_the_benchmark_golden",),
+    ),
+    # the double determinants read off one expansion at c = 0, against
+    # the direct double determinants
+    Mutant(
+        "det-variants-alpha-candidate-read-as-one", "src/capelli_lab/capelli.py",
+        '"alpha": Fraction(irrep.alpha)',
+        '"alpha": Fraction(1)',
+        ("tests/test_capelli.py::test_det_variants_degree_one",
+         "tests/test_capelli.py::test_det_variants_s3_standard"),
     ),
     # the prefix-sharing expansion behind coldet and the double determinants
     Mutant(

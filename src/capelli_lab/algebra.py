@@ -110,9 +110,6 @@ class AlgebraElement:
         # s * 0 is the canonical zero already standing there
         return AlgebraElement(self.group, [s * a if a else a for a in self.coeffs])
 
-    def promote(self, conductor: int) -> "AlgebraElement":
-        return AlgebraElement(self.group, [c.promote(conductor) for c in self.coeffs])
-
     def __bool__(self):
         return any(self.coeffs)
 
@@ -162,7 +159,7 @@ class AlgebraElement:
             coords.append(first)
         return coords
 
-    # -- rendering / serialization -------------------------------------------
+    # -- rendering --------------------------------------------------------------
 
     def __str__(self):
         names = self.group.element_names
@@ -170,22 +167,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({self.group.name}: {self})"
-
-    def to_dict(self) -> dict:
-        return {
-            self.group.element_names[g]: c.to_dict()
-            for g, c in enumerate(self.coeffs)
-            if c
-        }
-
-    @staticmethod
-    def from_dict(group: Group, data: dict, conductor: int | None = None) -> "AlgebraElement":
-        n = conductor if conductor is not None else exponent(group)
-        name_to_idx = {name: i for i, name in enumerate(group.element_names)}
-        coeffs = [Cyclo.zero(n)] * group.order
-        for name, payload in data.items():
-            coeffs[name_to_idx[name]] = Cyclo.from_dict(payload).promote(n)
-        return AlgebraElement(group, coeffs)
 
 
 def class_sum(group: Group, cls) -> AlgebraElement:

@@ -16,7 +16,7 @@ import sys
 import time
 from collections import Counter
 
-from . import __version__
+from . import __version__, weyl
 from .capelli import (
     capelli_element,
     center_basis,
@@ -32,17 +32,6 @@ from .cyclo import Cyclo
 from .groups import DEFAULT_ORDER_LIMIT, ClosureTooLarge, Group, load_group
 from .irreps import IrrepSet, load_irrep, validate, verify_E_basis, verify_schur_products
 from .reports import CheckResult, Report
-from .weyl import (
-    GENERIC_ALPHAS,
-    GENERIC_SIZE_LIMIT,
-    THEOREM_M_LIMIT,
-    build_generic,
-    verify_capelli,
-    verify_capelli_properties,
-    verify_det_equalities,
-    verify_rep_identity,
-    verify_rep_relations,
-)
 
 # -- check registry -------------------------------------------------------------
 
@@ -68,35 +57,36 @@ def _check_basis_char(irrep_set: IrrepSet) -> Report:
 def _check_weyl_relations(irrep_set: IrrepSet) -> Report:
     report = Report()
     for irrep in irrep_set.irreps:
-        relations = verify_rep_relations(irrep)
+        relations = weyl.verify_rep_relations(irrep)
         report.extend(relations)
-        report.extend(verify_rep_identity(irrep, "pi-relations", relations))
+        report.extend(weyl.verify_rep_identity(irrep, "pi-relations", relations))
     return report
 
 
 def _check_weyl_capelli(irrep_set: IrrepSet) -> Report:
     report = Report()
-    for m in range(1, GENERIC_SIZE_LIMIT + 1):
-        for alpha in GENERIC_ALPHAS:
-            _, xm, dm, pi = build_generic(m, alpha)
-            report.extend(verify_capelli(xm, dm, pi, alpha, f"generic m={m} alpha={alpha}"))
-    report.extend(_per_irrep(irrep_set, verify_rep_identity, "capelli-identity"))
+    for m in range(1, weyl.GENERIC_SIZE_LIMIT + 1):
+        for alpha in weyl.GENERIC_ALPHAS:
+            _, xm, dm, pi = weyl.build_generic(m, alpha)
+            report.extend(weyl.verify_capelli(xm, dm, pi, alpha, f"generic m={m} alpha={alpha}"))
+    report.extend(_per_irrep(irrep_set, weyl.verify_rep_identity, "capelli-identity"))
     return report
 
 
 def _check_weyl_central(irrep_set: IrrepSet) -> Report:
     report = Report()
-    for m in (1, 2):
-        for alpha in GENERIC_ALPHAS:
-            _, _, _, pi = build_generic(m, alpha)
-            report.extend(verify_capelli_properties(pi, alpha, f"generic m={m} alpha={alpha}"))
+    for m in range(1, weyl.CENTRAL_M_LIMIT + 1):
+        for alpha in weyl.GENERIC_ALPHAS:
+            _, _, _, pi = weyl.build_generic(m, alpha)
+            report.extend(
+                weyl.verify_capelli_properties(pi, alpha, f"generic m={m} alpha={alpha}"))
     return report
 
 
 def _check_det_equalities(irrep_set: IrrepSet) -> Report:
     report = Report()
-    for m in range(1, THEOREM_M_LIMIT + 1):
-        report.extend(verify_det_equalities(m))
+    for m in range(1, weyl.THEOREM_M_LIMIT + 1):
+        report.extend(weyl.verify_det_equalities(m))
     return report
 
 

@@ -52,9 +52,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conj(self, g: int, h: int) -> int:
         """g * h * g^-1"""
         return self.table[self.table[g][h]][self.inverses[g]]

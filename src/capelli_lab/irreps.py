@@ -10,14 +10,16 @@ Complete sets are additionally checked for the degree-square sum and
 pairwise character orthogonality.  Nothing is ever repaired: invalid
 input is rejected.
 
-Validation, the character inner product and the orthogonality sums of
-matrix coefficients (weyl.verify_rep_relations) work on the whole group
-at once, in integer coordinates: with D the lcm of the entry denominators,
-entry (i, j) becomes one list over g per power-basis index t < phi(N),
-holding the numerators of D * matrix(g)[i][j].  Every check is then an
-equality of integer lists built by scaling, adding and multiplying
-lists elementwise, with no Cyclo object per element and no gcd
-reduction along the way.
+Every sum over the group is taken here, on one integer layout that no
+other module sees: validation, the character inner product and the
+Schur orthogonality sums of matrix coefficients (orthogonality_witness,
+behind weyl.verify_rep_relations).  With D the lcm of the entry
+denominators, entry (i, j) becomes one list over g per power-basis index
+t < phi(N), holding the numerators of D * matrix(g)[i][j] (_coordinates).
+Every check is then an equality of integer lists built elementwise by
+one product kernel, _products, which sums products of coordinate lists
+and reduces them through the power table once, with no Cyclo object per
+element and no gcd reduction along the way.
 
 Loading reads each distinct serialized scalar once per file and shares
 the resulting (immutable) Cyclo among the entries that repeat it.
@@ -155,16 +157,14 @@ def validate(irrep: Irrep) -> Report:
     contains the generators, so it is the whole group.
 
     The checks run on the integer coordinate lists of _coordinates, over
-    every g at once (irreducibility through character_inner_product, on
-    the character's lists).  A value of Q(zeta_N) is zero exactly when
-    all its power-basis coordinates are, and multiplying by a
-    fixed value y is a linear map on coordinates whose matrix has integer
-    entries when y does, since each power of zeta_N reduces to an integer
-    row of the power table.  With D the common denominator, matrix(g*s) ==
-    matrix(g) matrix(s) is D * A_ij[g*s] == sum over k of (right
-    multiplication by D*matrix(s)_kj) applied to A_ik[g], an identity of
-    integer lists.  Unitarity is sum over k of A_ik[g] * conj(A_jk[g]) ==
-    D^2 delta_ij, with conjugation the substitution zeta -> zeta^(N-1).
+    every g at once, through the one product kernel _products.  A value
+    of Q(zeta_N) is zero exactly when all its power-basis coordinates
+    are.  With D the common denominator, matrix(g*s) == matrix(g)
+    matrix(s) is D * A_ij[g*s] == sum over k of A_ik[g] * D*matrix(s)_kj,
+    where D*matrix(s)_kj enters as one constant list per coordinate.
+    Unitarity is sum over k of A_ik[g] * conj(A_jk[g]) == D^2 delta_ij,
+    with conjugation the substitution zeta -> zeta^-1.  Irreducibility
+    is the character inner product, on the sums of the diagonal lists.
     For each s in generator order the failing pair reported is the one
     with the smallest g, and unitarity reports the smallest failing g:
     the witnesses of the pair-by-pair matrix check.
@@ -185,28 +185,22 @@ def validate(irrep: Irrep) -> Report:
     witness = None
     for s in group.generators:
         image = [row[s] for row in group.table]  # g -> g*s
-        right = [[_times_matrix([coords[k][j][v][s] for v in units], rows) for j in range(m)]
-                 for k in range(m)]
         first = n
         for i in range(m):
             for j in range(m):
-                acc = [None] * len(units)
-                for k in range(m):
-                    for t, row in enumerate(right[k][j]):
-                        for u, w in enumerate(row):
-                            if w:
-                                acc[t] = _add(acc[t], _scale(coords[i][k][u], w))
-                for t in units:
+                # matrix(s)_kj enters as one constant list per coordinate
+                products = _products([(coords[i][k], [[c[s]] * n for c in coords[k][j]])
+                                      for k in range(m)], rows)
+                for t, values in enumerate(products):
                     at_gs = list(map(coords[i][j][t].__getitem__, image))
-                    first = min(first, _first_difference(acc[t], _scale(at_gs, den)))
+                    first = min(first, _first_difference(values, _scale(at_gs, den)))
         if first < n:
             witness = (names[first], names[s])
             break
     report.add("homomorphism", irrep.label, witness is None,
                f"fails at pair {witness}" if witness else "")
 
-    conj = [[_substitute_lists(coords[j][k], conductor - 1, conductor, rows) for k in range(m)]
-            for j in range(m)]
+    conj = [[_conjugate(coords[j][k], conductor, rows) for k in range(m)] for j in range(m)]
     first = n
     for i in range(m):
         for j in range(i, m):  # (matrix(g) matrix(g)^*)_ji is the conjugate of the ij entry
@@ -218,7 +212,7 @@ def validate(irrep: Irrep) -> Report:
     report.add("unitarity", irrep.label, witness is None,
                f"fails at {witness}" if witness else "")
 
-    norm = character_inner_product(irrep, irrep)
+    norm = _character_inner_product(coords, den, coords, den, conductor, n)
     report.add("irreducibility", irrep.label, norm == 1, f"<chi,chi> = {norm}")
     return report
 
@@ -249,36 +243,36 @@ def _scaled_coordinates(values, den):
 def _products(pairs, rows):
     """Coordinate lists of the sum over (x, y) in pairs of x * y, taken
     element by element: the convolutions of all pairs are summed first and
-    reduced through the power table once."""
+    reduced through the power table once.  All-zero lists are skipped."""
     phi = len(rows[0])
     conv = [None] * (2 * phi - 1)
     for xs, ys in pairs:
+        ys = [(v, y) for v, y in enumerate(ys) if any(y)]
         for u, x in enumerate(xs):
-            for v, y in enumerate(ys):
-                conv[u + v] = _add(conv[u + v], list(map(mul, x, y)))
+            if any(x):
+                for v, y in ys:
+                    conv[u + v] = _add(conv[u + v], list(map(mul, x, y)))
     out = conv[:phi]
     for w in range(phi, 2 * phi - 1):
         for t, r in enumerate(rows[w]):
-            if r:
+            if r and conv[w] is not None:
                 out[t] = _add(out[t], _scale(conv[w], r))
-    return out
+    return _zero_filled(out, len(pairs[0][0][0]))
 
 
-def _times_matrix(c, rows):
-    """Integer matrix M of x -> x * c on power-basis coordinates:
-    M[t][u] is coordinate t of zeta^u * c."""
-    units = range(len(c))
-    return [[sum(c[v] * rows[u + v][t] for v in units if c[v]) for u in units] for t in units]
-
-
-def _substitute_lists(lists, k, n, rows):
-    """The coordinate lists of zeta_n -> zeta_n^k applied to each value."""
+def _conjugate(lists, conductor, rows):
+    """The coordinate lists of zeta -> zeta^-1 applied to each value."""
     out = [None] * len(rows[0])
     for u, values in enumerate(lists):
-        for t, w in enumerate(rows[u * k % n]):
+        for t, w in enumerate(rows[-u % conductor]):
             if w:
                 out[t] = _add(out[t], _scale(values, w))
-    return [values if values is not None else [0] * len(lists[0]) for values in out]
+    return _zero_filled(out, len(lists[0]))
+
+
+def _zero_filled(lists, n):
+    # None stands for the zero list of length n
+    return [values if values is not None else [0] * n for values in lists]
 
 
 def _scale(values, c):
@@ -291,10 +285,8 @@ def _add(acc, values):
 
 
 def _first_difference(values, expected):
-    """The least index at which `values` (None for all zero) differs from
-    `expected`, or len(expected) when they are equal."""
-    if values is None:
-        values = [0] * len(expected)
+    """The least index at which `values` differs from `expected`, or
+    len(expected) when they are equal."""
     if values == expected:
         return len(expected)
     return next(g for g, (x, y) in enumerate(zip(values, expected)) if x != y)
@@ -305,28 +297,55 @@ def _conjugate_sums(xs_values, ys_values, conductor):
     power-basis coordinates of the sum over g of x(g) * conj(y(g)).  Each
     value is a function on the group as integer coordinate lists (per
     power-basis index, the list over g), as _coordinates gives them;
-    conj is the substitution zeta -> zeta^(N-1), made once per y."""
+    conj is the substitution zeta -> zeta^-1, made once per y."""
     rows = power_table(conductor)
-    conj = [_substitute_lists(ys, conductor - 1, conductor, rows) for ys in ys_values]
+    conj = [_conjugate(ys, conductor, rows) for ys in ys_values]
     return [[[sum(values) for values in _products([(xs, cs)], rows)] for cs in conj]
             for xs in xs_values]
 
 
+def _character_inner_product(xs, dx, ys, dy, conductor, order):
+    """The character inner product of the irreps whose _coordinates are
+    (xs, dx) and (ys, dy): each character's lists are the sums of the
+    diagonal entries' lists."""
+    def trace(coords):
+        diagonal = (coords[i][i] for i in range(len(coords)))
+        return [list(map(sum, zip(*values))) for values in zip(*diagonal)]
+
+    [[total]] = _conjugate_sums([trace(xs)], [trace(ys)], conductor)
+    return Cyclo(conductor, [Fraction(v, dx * dy * order) for v in total])
+
+
 def character_inner_product(a: Irrep, b: Irrep) -> Cyclo:
     """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g)), summed over g on
-    the integer coordinate lists of the two characters."""
-    target = math.lcm(a.conductor, b.conductor)
-    xs, dx = _character_coordinates(a, target)
-    ys, dy = (xs, dx) if b is a else _character_coordinates(b, target)
-    [[total]] = _conjugate_sums([xs], [ys], target)
-    return Cyclo(target, [Fraction(v, dx * dy * a.group.order) for v in total])
+    the integer coordinate lists of the two irreps; ConductorMismatch
+    unless a and b share one conductor."""
+    if a.conductor != b.conductor:
+        raise ConductorMismatch(f"irreps {a.label!r} and {b.label!r} in conductors "
+                                f"{a.conductor} and {b.conductor}")
+    xs, dx = _coordinates(a)
+    ys, dy = (xs, dx) if b is a else _coordinates(b)
+    return _character_inner_product(xs, dx, ys, dy, a.conductor, a.group.order)
 
 
-def _character_coordinates(irrep: Irrep, conductor: int):
-    """(lists, D) for the character promoted to `conductor`, as in _coordinates."""
-    values = [irrep.character(g).promote(conductor) for g in range(irrep.group.order)]
-    den = math.lcm(*{v.den for v in values})
-    return _scaled_coordinates(values, den), den
+def orthogonality_witness(irrep: Irrep):
+    """The first (i, j, k, l), in lexicographic order, at which the Schur
+    orthogonality sum over g of matrix(g)_ij * conj(matrix(g)_kl) differs
+    from alpha * delta_ik * delta_jl, or None when every sum holds (Serre,
+    Linear Representations of Finite Groups, 2.2).  The m^4 sums are taken
+    on the lists of _coordinates, every entry scaled by the common
+    denominator D, so each is an integer comparison: coordinate 0 equals
+    alpha * D^2 * delta_ik * delta_jl and every other coordinate is 0."""
+    m, alpha = irrep.degree, irrep.alpha
+    coords, den = _coordinates(irrep)
+    entries = [coords[i][j] for i in range(m) for j in range(m)]
+    sums = _conjugate_sums(entries, entries, irrep.conductor)
+    zeros = [0] * (len(sums[0][0]) - 1)
+    for i, j, k, l in product(range(m), repeat=4):
+        target = alpha * den * den if (i, j) == (k, l) else 0
+        if sums[i * m + j][k * m + l] != [target, *zeros]:
+            return i, j, k, l
+    return None
 
 
 def validate_complete(irrep_set: IrrepSet) -> Report:

@@ -190,16 +190,9 @@ class ZPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @staticmethod
-    def constant(value) -> "ZPoly":
-        return ZPoly([value])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def coefficient(self, power: int):
-        return self.coeffs[power] if power < len(self.coeffs) else None
 
     def __bool__(self):
         return bool(self.coeffs)

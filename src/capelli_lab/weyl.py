@@ -21,8 +21,8 @@ entries (the generic setting, any alpha; `build_generic`).  An irrep's
 X and D are combinations of one variable per group element at base
 alpha 1, and satisfy the grid relations with alpha = group order /
 degree; those relations are scalar orthogonality sums of its matrix
-coefficients, checked on integer coordinate lists without building an
-operator (`verify_rep_relations`).  Its Pi relations and Capelli
+coefficients, which `irreps.orthogonality_witness` checks without
+building an operator (`verify_rep_relations`).  Its Pi relations and Capelli
 identity are the generic ones at (m, alpha = |G|/m), carried over by the
 homomorphism x_ij -> X_ij, d_ij -> D_ij that the relations define
 (`verify_rep_identity`).
@@ -46,12 +46,16 @@ from itertools import islice, product
 
 from . import linalg, ncdet
 from .cyclo import Cyclo, format_sum
-from .irreps import Irrep, _conjugate_sums, _coordinates
+from .irreps import Irrep, orthogonality_witness
 from .ncdet import SizeLimit, add_diagonal, coldet, natural_shift
 from .reports import CheckResult, Report
 
+# the size limits, read at call time: the generic grid (build_generic and
+# weyl-capelli), the three determinants (det-equalities) and the
+# centrality and conjugation checks (weyl-central)
 GENERIC_SIZE_LIMIT = 3
 THEOREM_M_LIMIT = 2
+CENTRAL_M_LIMIT = 2
 # the sample alphas of the generic identities (weyl-capelli, weyl-central)
 GENERIC_ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
@@ -317,29 +321,15 @@ def verify_rep_relations(irrep: Irrep) -> Report:
     D entries whatever the matrices: the first two rows hold by
     construction.  [d_g, x_h] = delta_gh makes [D_ij, X_kl] the scalar
     sum over g of matrix(g)_ij * conj(matrix(g)_kl), the orthogonality
-    sum of matrix coefficients (Serre, Linear Representations of Finite
-    Groups, 2.2).  The m^4 sums are taken on the integer coordinate lists
-    of irreps._coordinates, all entries scaled by the common denominator
-    D, so the relation is an integer comparison: coordinate 0 of each sum
-    equals alpha * D^2 * delta_ik * delta_jl and every other coordinate
-    is 0.  The witness is the first failing (i, j, k, l) in
-    lexicographic order.
+    sum of matrix coefficients, which `irreps.orthogonality_witness`
+    checks; the witness is its first failing (i, j, k, l).
     """
     report = Report()
-    m, alpha = irrep.degree, irrep.alpha
-    coords, den = _coordinates(irrep)
-    entries = [coords[i][j] for i in range(m) for j in range(m)]
-    sums = _conjugate_sums(entries, entries, irrep.conductor)
-    zeros = [0] * (len(sums[0][0]) - 1)
-    witness = ""
-    for i, j, k, l in product(range(m), repeat=4):
-        target = alpha * den * den if (i, j) == (k, l) else 0
-        if sums[i * m + j][k * m + l] != [target, *zeros]:
-            witness = str((i, j, k, l))
-            break
+    witness = orthogonality_witness(irrep)
     report.add("x-commute", irrep.label, True, "")
     report.add("d-commute", irrep.label, True, "")
-    report.add("d-x-relation", irrep.label, not witness, witness or f"alpha = {alpha}")
+    report.add("d-x-relation", irrep.label, witness is None,
+               f"alpha = {irrep.alpha}" if witness is None else str(witness))
     return report
 
 

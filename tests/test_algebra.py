@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -58,7 +57,7 @@ def test_sign_sum_squares_to_six_times_itself():
 
 def test_equality_across_conductors_promotes():
     a = s3_element({"e": 2, "(12)": -3, "(123)": Fraction(1, 2)})
-    lifted = a.promote(12)
+    lifted = AlgebraElement(S3, [c.promote(12) for c in a.coeffs])
     assert lifted.conductor == 12 and a.conductor == 6
     assert a == lifted and lifted == a
     zeta = Cyclo.zeta(12)
@@ -188,13 +187,6 @@ def test_class_sum_products_have_nonneg_integer_structure_constants():
                 for coord in (x * y).coordinates_in_class_sums(classes):
                     value = coord.as_rational()
                     assert value is not None and value.denominator == 1 and value >= 0
-
-
-def test_serialization_round_trip_drops_zeros():
-    a = s3_element({"e": Fraction(5, 3), "(123)": -2})
-    data = json.loads(json.dumps(a.to_dict()))
-    assert set(data) == {"e", "(123)"}
-    assert AlgebraElement.from_dict(S3, data) == a
 
 
 # -- property tests ----------------------------------------------------------------

@@ -214,6 +214,22 @@ def test_verify_group_file_with_irrep_file(tmp_path, capsys):
     assert "0 failures" in out
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_untrusted_files_give_the_catalog_rows(tmp_path, capsys, name):
+    # every catalog irrep written out as a group and irrep file pair: the
+    # file route validates it, then reports what the catalog route does
+    group_path = tmp_path / "group.json"
+    group_path.write_text(json.dumps(group_to_dict(catalog_group(name))))
+    checks = ("--checks", "closed-form,weyl-relations", "--format", "json")
+    for irrep in catalog_irreps(name).irreps:
+        irrep_path = tmp_path / "irrep.json"
+        irrep_path.write_text(json.dumps(irrep_to_dict(irrep)))
+        code, out, _ = run(capsys, "verify", "--group-file", str(group_path),
+                           "--irrep-file", str(irrep_path), *checks)
+        want_code, want, _ = run(capsys, "verify", "--group", name, "--irrep", irrep.label, *checks)
+        assert (code, json.loads(out)["results"]) == (want_code, json.loads(want)["results"])
+
+
 def test_utf8_files_load_under_an_ascii_locale(tmp_path):
     # the files are read as bytes: the C locale's ASCII plays no part
     group = group_to_dict(catalog_group("S3"))

@@ -267,19 +267,25 @@ def _map_entries(irrep, f):
         tuple(tuple(map(f, row)) for row in mat) for mat in irrep.matrices))
 
 
+def _lifted(irrep):
+    return _map_entries(irrep, lambda v: v.promote(2 * irrep.conductor))
+
+
 def test_character_inner_product_matches_per_element_oracle():
-    # b also in twice its conductor, so that the characters meet in the lcm
-    # field, and with every entry times 2/3, so that they carry denominators
+    # the pair also lifted to twice their conductor, and b with every entry
+    # times 2/3, so that the lists carry denominators; a pair of two
+    # conductors is refused, as an IrrepSet refuses it
     for name in catalog_names():
         irreps = catalog_irreps(name).irreps
         for a in irreps:
             for b in irreps:
-                lifted = _map_entries(b, lambda v: v.promote(2 * b.conductor))
                 thirds = _map_entries(b, lambda v: v * Fraction(2, 3))
-                for other in (b, lifted, thirds):
-                    got = character_inner_product(a, other)
-                    want = character_inner_product_per_element(a, other)
+                for x, y in ((a, b), (_lifted(a), _lifted(b)), (a, thirds)):
+                    got = character_inner_product(x, y)
+                    want = character_inner_product_per_element(x, y)
                     assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
+                with pytest.raises(ConductorMismatch):
+                    character_inner_product(a, _lifted(b))
 
 
 def test_irrep_set_refuses_mixed_conductors():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capelli_lab import linalg
+from capelli_lab import linalg, weyl
 from capelli_lab.catalog import catalog_irreps, catalog_names
-from capelli_lab.cli import CHECKS
+from capelli_lab.cli import CHECKS, run_checks
 from capelli_lab.cyclo import Cyclo, cyclo_degree
 from capelli_lab.irreps import Irrep, IrrepSet
 from capelli_lab.ncdet import SizeLimit, capelli_zpoly, coldet
@@ -339,6 +339,19 @@ def test_rep_identity_above_generic_size_limit_is_skipped():
                                                       ("capelli-identity", "perm")]
     for r in skipped:
         assert r.detail == f"generic size 4 exceeds limit {GENERIC_SIZE_LIMIT}"
+
+
+def test_weyl_capelli_reads_the_size_limit_at_call_time(monkeypatch):
+    # the sample loop and build_generic read one limit, so lowering it
+    # lowers the generic rows and crashes nothing
+    monkeypatch.setattr(weyl, "GENERIC_SIZE_LIMIT", 2)
+    [(_, _, rows)] = run_checks(catalog_irreps("S3"), ["weyl-capelli"])
+    assert [(r["check"], r["irrep"]) for r in rows] == [
+        ("capelli-identity", f"generic m={m} alpha={a}")
+        for m in (1, 2) for a in weyl.GENERIC_ALPHAS
+    ] + [("capelli-identity", label) for label in ("triv", "sgn", "std")]
+    assert not any(r["detail"].startswith("crashed:") for r in rows)
+    assert all(r["status"] == "pass" for r in rows)
 
 
 def test_capelli_zpoly_m1():
