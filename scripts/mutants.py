@@ -159,7 +159,7 @@ MUTANTS = (
     Mutant(
         "byte-lines-no-bool-test", "src/capelli_lab/groups.py",
         "typed = (type(row[line.index(0)]) is int\n"
-        "                         and (n == 1 or type(row[line.index(1)]) is int))",
+        "                     and (n == 1 or type(row[line.index(1)]) is int))",
         "typed = True",
         ("tests/test_groups.py::test_table_checks_match_reference",),
     ),
@@ -171,7 +171,7 @@ MUTANTS = (
     ),
     Mutant(
         "byte-lines-no-range-test", "src/capelli_lab/groups.py",
-        "if line is None or len(line) != n or line.translate(None, ident):",
+        "if line is None or len(line) != n or line.translate(None, self.ident):",
         "if line is None or len(line) != n:",
         ("tests/test_groups.py::test_table_checks_match_reference",),
     ),
@@ -186,6 +186,46 @@ MUTANTS = (
         "if not lines.permutes(columns[i]):",
         "if False:",
         ("tests/test_groups.py::test_table_checks_match_reference",),
+    ),
+    # group and irrep files read one item at a time, refused at the deciding
+    # item: each mutant reads past it, which the tests see as a refusal for a
+    # later, undecodable item or as memory that grows with the file
+    Mutant(
+        "row-limit-off-by-one", "src/capelli_lab/groups.py",
+        "if i == n:",
+        "if i == n + 1:",
+        ("tests/test_jsonread.py::test_row_n_plus_one_is_refused_before_the_next_is_read",),
+    ),
+    Mutant(
+        "first-row-length-unchecked", "src/capelli_lab/groups.py",
+        "if max_order is not None and n > max_order:",
+        "if False:",
+        ("tests/test_jsonread.py::test_a_first_row_over_the_limit_is_refused_first",
+         "tests/test_jsonread.py::test_order_1500_file_is_refused_under_limit_64"),
+    ),
+    Mutant(
+        "element-names-limit-off-by-one", "src/capelli_lab/groups.py",
+        "names = list(islice(names, max(max_order, 0) + 1))",
+        "names = list(islice(names, max(max_order, 0) + 2))",
+        ("tests/test_jsonread.py::test_name_limit_plus_one_is_refused_before_the_next_is_read",),
+    ),
+    Mutant(
+        "matrix-count-off-by-one", "src/capelli_lab/irreps.py",
+        "if len(blocks) == group.order:",
+        "if len(blocks) > group.order:",
+        ("tests/test_jsonread.py::test_block_order_plus_one_is_refused_before_the_next_is_read",),
+    ),
+    Mutant(
+        "repeated-keys-kept", "src/capelli_lab/jsonread.py",
+        "if key in seen:",
+        "if False:",
+        ("tests/test_jsonread.py::test_repeated_top_level_keys_are_refused",),
+    ),
+    Mutant(
+        "number-cut-short-taken-whole", "src/capelli_lab/jsonread.py",
+        '_NUMBER_GOES_ON = ".eE"',
+        '_NUMBER_GOES_ON = ""',
+        ("tests/test_jsonread.py::test_numbers_cut_by_a_chunk_boundary_are_read_whole",),
     ),
     # the Taylor shift against the binomial expansion
     Mutant(

@@ -2,26 +2,35 @@
 
 Elements are dense indices 0..n-1; the Cayley table is the whole group.
 Construction always validates, so everything downstream may assume it is
-holding an actual group: entries must be ints (neither True nor 1.0 nor
-"1" passes), every row and column must be a permutation of 0..n-1, then
-come identity, inverses, and associativity by Light's test over a greedy
-generating set S, which is exact and costs O(n^2 |S|) with
+holding an actual group.  The rows are checked one at a time, as they are
+read (read_table): the first row's length is the order n, and each row
+must be a list of ints (neither True nor 1.0 nor "1" passes) of length n
+over 0..n-1 forming a permutation; the first row that is not, or an
+(n+1)-th row, is refused before any later row is looked at.  Then come
+the columns, identity, inverses, and associativity by Light's test over
+a greedy generating set S, which is exact and costs O(n^2 |S|) with
 |S| <= log2(n) + 1 for a group.  A table of order n <= 256 is checked as
 one bytes object per line, so that the Latin scan and each (s, x) pair of
 Light's test are single C-level byte operations; a larger table keeps
 tuples, sets and itemgetter.  The two line types share the order of the
 checks, the messages and the witnesses.  The generating set is kept on
 the group, so that irrep validation can check the homomorphism property
-over generators only.  Loading a table from JSON compares its size to
-the order limit before any of this validation runs.
+over generators only.
+
+A group file is read one member at a time, and its element names and
+table rows one item at a time (jsonread), so a file is refused at its
+first fault, or as soon as its first row or its names exceed the order
+limit, without decoding what follows.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter
+
+from .jsonread import array_items, read_object
 
 
 class NotAGroup(ValueError):
@@ -68,26 +77,18 @@ class Group:
 
 
 def build_group_from_table(name, element_names, table) -> Group:
-    n = len(table)
-    return _build_group(name, element_names, table, (_ByteLines if n <= 256 else _TupleLines)(n))
-
-
-def _build_group(name, element_names, table, lines) -> Group:
-    """The checks of build_group_from_table in their order, over one line
-    type (_ByteLines or _TupleLines), which converts the rows, builds the
-    columns and answers the per-line questions."""
-    rows = lines.rows(table)
+    """The group of a Cayley table, validated.  table is an iterable of
+    rows, checked one row at a time as read_table reads them, or the lines
+    read_table returned for the rows of a file; the names, columns,
+    identity, inverses and associativity are checked after the rows."""
+    lines = table if isinstance(table, _Lines) else read_table(table)
     n = lines.n
-    if n == 0:
-        raise NotAGroup("empty table")
     element_names = tuple(str(x) for x in element_names)
     if len(element_names) != n:
         raise NotAGroup(f"{len(element_names)} names for {n} elements")
-    row_permutes = lines.shape(rows)
-    columns = lines.columns(rows)
+    rows = lines.rows
+    columns = lines.columns()
     for i in range(n):
-        if not row_permutes[i]:
-            raise NotAGroup("row is not a permutation", witness=i)
         if not lines.permutes(columns[i]):
             raise NotAGroup("column is not a permutation", witness=i)
 
@@ -106,19 +107,60 @@ def _build_group(name, element_names, table, lines) -> Group:
         inverses.append(h)
 
     generators = _greedy_generators(rows)
-    witness = _associativity_witness(rows, columns, generators, lines.left_products(rows))
+    witness = _associativity_witness(rows, columns, generators, lines.left_products())
     if witness is not None:
         raise NotAGroup("associativity fails", witness=witness)
 
-    return Group(str(name), n, element_names, lines.table(rows), identity, tuple(inverses),
+    return Group(str(name), n, element_names, lines.table(), identity, tuple(inverses),
                  generators)
 
 
 _NOT_INTEGER_ROWS = "field 'table' must be a list of rows of integers"
 _NOT_N_BY_N = "table is not n x n over 0..n-1"
+_END = object()
 
 
-class _ByteLines:
+def read_table(table, max_order=None, line_type=None):
+    """The rows of a Cayley table, checked in order as they are read and
+    returned as lines of one type.  The first row's length n is the order:
+    it is compared with max_order before any row is checked, and picks the
+    line type (bytes for n <= 256, tuples above) unless line_type is given.
+    Then each row must be a list of integers (ValueError), of length n with
+    entries in 0..n-1 (NotAGroup), forming a permutation (NotAGroup with
+    the row as witness).  The first row that fails raises, and so do an
+    (n+1)-th row and a missing one, before any later row is taken from
+    table."""
+    rows = iter(table)
+    first = next(rows, _END)
+    if first is _END:
+        raise NotAGroup("empty table")
+    if not isinstance(first, (list, tuple)):
+        raise ValueError(_NOT_INTEGER_ROWS)
+    n = len(first)
+    if max_order is not None and n > max_order:
+        raise ClosureTooLarge(f"group order {n} exceeds limit {max_order}")
+    lines = (line_type or (_ByteLines if n <= 256 else _TupleLines))(n)
+    append, line = lines.rows.append, lines.line
+    for i, row in enumerate(chain((first,), rows)):
+        if i == n:
+            raise NotAGroup(_NOT_N_BY_N)
+        append(line(row, i))
+    if len(lines.rows) != n:
+        raise NotAGroup(_NOT_N_BY_N)
+    return lines
+
+
+class _Lines:
+    """The rows read so far, as lines of one type (a subclass), which
+    checks each row as it arrives, builds the columns and answers the
+    per-line questions.  Both types give the same messages and witnesses."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = []
+
+
+class _ByteLines(_Lines):
     """Each line as one bytes object, for n <= 256 (a byte holds 0..255):
     every per-line check is a C-level byte operation.  With ident the bytes
     0..n-1, a line has every entry below n exactly when
@@ -126,106 +168,88 @@ class _ByteLines:
     permutation exactly when ident.translate(None, line) is."""
 
     def __init__(self, n):
-        self.n = n
+        super().__init__(n)
         self.ident = bytes(range(n))
         self._pad = bytes(range(n, 256))  # completes a row to a 256-byte translate table
 
-    def rows(self, table):
-        """Each row as bytes, or None where bytes() refuses an all-int row
-        (an entry outside 0..255, so out of range); raises the type error of
-        the first row that is not a list of ints.  Of the JSON values only
-        ints and bools pass bytes(), and in a permutation of 0..n-1 a bool
-        can stand only where 0 or 1 is, so a permutation row needs two type
-        tests; any other row gets one per entry.  (Other integer types with
-        __index__, which JSON cannot produce, pass as their value.)"""
-        n, ident = self.n, self.ident
-        rows = []
-        for row in table:
-            if not isinstance(row, (list, tuple)):
-                raise ValueError(_NOT_INTEGER_ROWS)
-            try:
-                line = bytes(row)  # TypeError on float, str, None, list, dict
-            except (TypeError, ValueError):
-                line = None
-            if line is not None and len(line) == n and not ident.translate(None, line):
-                typed = (type(row[line.index(0)]) is int
-                         and (n == 1 or type(row[line.index(1)]) is int))
-            else:
-                typed = {int}.issuperset(map(type, row))
-            if not typed:
-                raise ValueError(_NOT_INTEGER_ROWS)
-            rows.append(line)
-        return rows
+    def line(self, row, i):
+        """Row i as bytes, checked.  bytes() refuses an entry outside 0..255
+        and every JSON value but ints and bools, and in a permutation of
+        0..n-1 a bool can stand only where 0 or 1 is, so a permutation row
+        needs two type tests; any other row gets one per entry.  (Other
+        integer types with __index__, which JSON cannot produce, pass as
+        their value.)"""
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(_NOT_INTEGER_ROWS)
+        n = self.n
+        try:
+            line = bytes(row)  # TypeError on float, str, None, list, dict
+        except (TypeError, ValueError):
+            line = None
+        permutation = line is not None and len(line) == n and self.permutes(line)
+        if permutation:
+            typed = (type(row[line.index(0)]) is int
+                     and (n == 1 or type(row[line.index(1)]) is int))
+        else:
+            typed = {int}.issuperset(map(type, row))
+        if not typed:
+            raise ValueError(_NOT_INTEGER_ROWS)
+        if permutation:
+            return line
+        if line is None or len(line) != n or line.translate(None, self.ident):
+            raise NotAGroup(_NOT_N_BY_N)
+        raise NotAGroup("row is not a permutation", witness=i)
 
-    def shape(self, rows):
-        """Raise unless every row has n entries in 0..n-1; then whether each
-        row is a permutation."""
-        n, ident = self.n, self.ident
-        for line in rows:
-            if line is None or len(line) != n or line.translate(None, ident):
-                raise NotAGroup(_NOT_N_BY_N)
-        return list(map(self.permutes, rows))
-
-    def columns(self, rows):
-        flat = b"".join(rows)
+    def columns(self):
+        flat = b"".join(self.rows)
         return [flat[j::self.n] for j in range(self.n)]
 
     def permutes(self, line):
         return not self.ident.translate(None, line)
 
-    def left_products(self, rows):
+    def left_products(self):
         """For the row of s, the lines y -> x*(s*y), one per x: the row of s
         translated through the row of x."""
-        padded = [line + self._pad for line in rows]
+        padded = [line + self._pad for line in self.rows]
         return lambda s_row: list(map(s_row.translate, padded))
 
-    @staticmethod
-    def table(rows):
-        return tuple(map(tuple, rows))
+    def table(self):
+        return tuple(map(tuple, self.rows))
 
 
-class _TupleLines:
+class _TupleLines(_Lines):
     """Each line as a tuple of ints, for n >= 2 of any size (itemgetter of
     one index returns no tuple); one set per row decides its shape, range
-    and, with every row in range, whether it is a permutation."""
+    and distinctness."""
 
     def __init__(self, n):
-        self.n = n
+        super().__init__(n)
         self.ident = tuple(range(n))
+        self._span = set(self.ident)
 
-    @staticmethod
-    def rows(table):
-        if not all(isinstance(row, (list, tuple)) and {int}.issuperset(map(type, row))
-                   for row in table):
+    def line(self, row, i):
+        if not (isinstance(row, (list, tuple)) and {int}.issuperset(map(type, row))):
             raise ValueError(_NOT_INTEGER_ROWS)
-        return tuple(map(tuple, table))
+        entries = set(row)
+        if len(row) != self.n or not entries <= self._span:
+            raise NotAGroup(_NOT_N_BY_N)
+        # a line of n entries in 0..n-1 is a permutation when they are distinct
+        if len(entries) != self.n:
+            raise NotAGroup("row is not a permutation", witness=i)
+        return tuple(row)
 
-    def shape(self, rows):
-        n, span = self.n, set(self.ident)
-        row_permutes = []
-        for row in rows:
-            entries = set(row)
-            if len(row) != n or not entries <= span:
-                raise NotAGroup(_NOT_N_BY_N)
-            # a line of n entries in 0..n-1 is a permutation when they are distinct
-            row_permutes.append(len(entries) == n)
-        return row_permutes
-
-    @staticmethod
-    def columns(rows):
-        return tuple(zip(*rows))
+    def columns(self):
+        return tuple(zip(*self.rows))
 
     def permutes(self, line):
         return len(set(line)) == self.n
 
-    @staticmethod
-    def left_products(rows):
+    def left_products(self):
         """For the row of s, the lines y -> x*(s*y), one per x."""
-        return lambda s_row: list(map(itemgetter(*s_row), rows))
+        return lambda s_row: list(map(itemgetter(*s_row), self.rows))
 
-    @staticmethod
-    def table(rows):
-        return rows
+    def table(self):
+        return tuple(self.rows)
 
 
 def _associativity_witness(rows, columns, generators, left_products):
@@ -402,40 +426,70 @@ def group_to_dict(group: Group) -> dict:
     }
 
 
+_NOT_A_GROUP = "a group is an object with a 'table' list"
+_NOT_NAMES = "field 'elements' must be a list of strings"
+
+
 def group_from_dict(data, max_order=DEFAULT_ORDER_LIMIT) -> Group:
-    """A group from its JSON form.  A table with more rows than max_order
-    is refused before any work that scales with the table; data of the
-    wrong shape raises ValueError naming the field."""
-    if not isinstance(data, dict) or not isinstance(data.get("table"), list):
-        raise ValueError("a group is an object with a 'table' list")
-    table = data["table"]
-    n = len(table)
-    if n > max_order:
-        raise ClosureTooLarge(f"group order {n} exceeds limit {max_order}")
-    if type(data["order"]) is not int:
-        raise ValueError("field 'order' must be an integer")
-    if n != data["order"]:
-        raise NotAGroup(f"declared order {data['order']} but table has {n}")
-    if not isinstance(data["name"], str):
-        raise ValueError("field 'name' must be a string")
-    elements = data["elements"]
-    if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
-        raise ValueError("field 'elements' must be a list of strings")
-    return build_group_from_table(data["name"], elements, table)
-
-
-def read_json(path):
-    """The JSON document in a file.  json.loads gets the bytes and detects
-    UTF-8, -16 or -32 itself, so the locale's encoding plays no part; a
-    document nested too deeply for the parser raises ValueError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return json.loads(data)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+    """A group from its decoded JSON form, checked as load_group checks a
+    file; data of the wrong shape raises ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(_NOT_A_GROUP)
+    return _group_from_members(data.items(), max_order)
 
 
 def load_group(path, max_order=DEFAULT_ORDER_LIMIT) -> Group:
-    """Read a group JSON file; see group_from_dict."""
-    return group_from_dict(read_json(path), max_order)
+    """Read a group JSON file one member at a time, and the elements and
+    the table one item at a time (jsonread.read_object), so that a file is
+    refused at its first fault, or as soon as its order is seen to exceed
+    max_order, without decoding the rest."""
+    with open(path, "rb") as fh:
+        return _group_from_members(read_object(fh, ("elements", "table"), _NOT_A_GROUP),
+                                   max_order)
+
+
+def _group_from_members(members, max_order):
+    """The group of (key, value) members in file order.  Each member is
+    checked as it arrives: a string name, an integer order, element names
+    that are strings and at most max_order of them, and the table's rows
+    as read_table reads them.  Then every field must be there, the
+    declared order must be the table's, and build_group_from_table checks
+    the rest."""
+    fields = {}
+    for key, value in members:
+        if key == "table":
+            rows = array_items(value)
+            if rows is None:
+                raise ValueError(_NOT_A_GROUP)
+            value = read_table(rows, max_order)
+        elif key == "elements":
+            value = _element_names(value, max_order)
+        elif key == "name" and not isinstance(value, str):
+            raise ValueError("field 'name' must be a string")
+        elif key == "order" and type(value) is not int:
+            raise ValueError("field 'order' must be an integer")
+        fields[key] = value
+    if "table" not in fields:
+        raise ValueError(_NOT_A_GROUP)
+    for key in ("order", "name", "elements"):
+        if key not in fields:
+            raise ValueError(f"field {key!r} is missing")
+    lines = fields["table"]
+    if fields["order"] != lines.n:
+        raise NotAGroup(f"declared order {fields['order']} but table has {lines.n}")
+    return build_group_from_table(fields["name"], fields["elements"], lines)
+
+
+def _element_names(value, max_order):
+    """The element names, at most max_order of them: name max_order + 1 is
+    refused before any later one is decoded."""
+    names = array_items(value)
+    if names is None:
+        raise ValueError(_NOT_NAMES)
+    names = list(islice(names, max(max_order, 0) + 1))
+    if len(names) > max_order:
+        raise ClosureTooLarge(f"more than {max_order} element names: "
+                              f"group order exceeds limit {max_order}")
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(_NOT_NAMES)
+    return names

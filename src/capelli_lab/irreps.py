@@ -21,8 +21,11 @@ one product kernel, _products, which sums products of coordinate lists
 and reduces them through the power table once, with no Cyclo object per
 element and no gcd reduction along the way.
 
-Loading reads each distinct serialized scalar once per file and shares
-the resulting (immutable) Cyclo among the entries that repeat it.
+Loading reads a file one member and one matrix block at a time
+(jsonread): the count is refused at block group.order + 1 and each
+block's shape as it arrives, before the next block is decoded.  Each
+distinct serialized scalar is parsed once per file, and the resulting
+(immutable) Cyclo is shared among the entries that repeat it.
 
 E_matrix builds the matrix of algebra elements whose (i, j) entry is the
 sum over g of matrix(g)[i][j] * g; the Schur product relations these
@@ -34,13 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import add, mul
 
 from . import linalg, ncdet
 from .algebra import AlgebraElement
 from .cyclo import CONDUCTOR_LIMIT, ConductorMismatch, Cyclo, power_table
-from .groups import Group, exponent, read_json
+from .groups import Group, exponent
+from .jsonread import array_items, read_object
 from .reports import Report
 
 
@@ -451,33 +455,84 @@ def irrep_to_dict(irrep: Irrep) -> dict:
     }
 
 
+_NOT_AN_IRREP = "an irrep is an object with a 'matrices' list"
+_NOT_SQUARE = "matrix block is not degree x degree"
+
+
 def irrep_from_dict(group: Group, data) -> Irrep:
-    """An irrep of `group` from its JSON form; data of the wrong shape
-    raises ValueError naming the field.  The matrix count is compared
-    with the group order, and the field the entries are promoted to,
-    lcm(conductor, exponent), with CONDUCTOR_LIMIT, before any scalar is
-    read.  Each distinct well-typed scalar is parsed and promoted once."""
-    if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
-        raise ValueError("an irrep is an object with a 'matrices' list")
-    for field in ("label", "group"):
-        if not isinstance(data.get(field), str):
-            raise ValueError(f"field '{field}' must be a string")
-    if data["group"] != group.name:
-        raise ValueError(f"irrep file is for group {data['group']!r}, not {group.name!r}")
-    if len(data["matrices"]) != group.order:
-        raise ValueError(f"{len(data['matrices'])} matrices for group of order {group.order}")
-    declared, degree = data["conductor"], data["degree"]
-    if not all(type(v) is int and v > 0 for v in (declared, degree)):
-        raise ValueError("fields 'conductor' and 'degree' must be positive integers")
-    target = math.lcm(declared, exponent(group))
-    if target > CONDUCTOR_LIMIT:
-        raise ValueError(f"field 'conductor': lcm({declared}, group exponent) = {target} "
-                         f"exceeds {CONDUCTOR_LIMIT}")
+    """An irrep of `group` from its decoded JSON form, checked as
+    load_irrep checks a file; data of the wrong shape raises ValueError
+    naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(_NOT_AN_IRREP)
+    return _irrep_from_members(group, data.items())
+
+
+def load_irrep(path, group: Group) -> Irrep:
+    """Read an irrep JSON file one member at a time, and the matrices one
+    block at a time (jsonread.read_object), so that a file is refused at
+    its first fault, or at block group.order + 1, without decoding the
+    rest."""
+    with open(path, "rb") as fh:
+        return _irrep_from_members(group, read_object(fh, ("matrices",), _NOT_AN_IRREP))
+
+
+def _irrep_from_members(group, members):
+    """The irrep of (key, value) members in file order.  Each member is
+    checked as it arrives: label and group strings, the group's own name,
+    positive integer conductor and degree, and the field the entries are
+    promoted to, lcm(conductor, exponent), within CONDUCTOR_LIMIT, before
+    any scalar is read.  The matrices are counted as they arrive, and each
+    block's shape and scalars are checked then too, or after the last
+    member when the degree or conductor comes after them.  Then every
+    field must be there and the count must be the group order."""
+    fields, blocks, block, target = {}, [], None, None
+    for key, value in members:
+        if key == "matrices":
+            items = array_items(value)
+            if items is None:
+                raise ValueError(_NOT_AN_IRREP)
+            if "degree" in fields and "conductor" in fields:
+                block = _block_reader(fields["degree"], target)
+            for mat in items:
+                if len(blocks) == group.order:
+                    raise ValueError(f"more than {group.order} matrices for group of order "
+                                     f"{group.order}")
+                blocks.append(block(mat) if block else mat)
+        elif key in ("label", "group"):
+            if not isinstance(value, str):
+                raise ValueError(f"field '{key}' must be a string")
+            if key == "group" and value != group.name:
+                raise ValueError(f"irrep file is for group {value!r}, not {group.name!r}")
+        elif key in ("conductor", "degree"):
+            if not (type(value) is int and value > 0):
+                raise ValueError("fields 'conductor' and 'degree' must be positive integers")
+            if key == "conductor":
+                target = math.lcm(value, exponent(group))
+                if target > CONDUCTOR_LIMIT:
+                    raise ValueError(f"field 'conductor': lcm({value}, group exponent) = {target} "
+                                     f"exceeds {CONDUCTOR_LIMIT}")
+        fields[key] = value
+    if "matrices" not in fields:
+        raise ValueError(_NOT_AN_IRREP)
+    for key in ("label", "group", "degree", "conductor"):
+        if key not in fields:
+            raise ValueError(f"field {key!r} is missing")
+    if len(blocks) != group.order:
+        raise ValueError(f"{len(blocks)} matrices for group of order {group.order}")
+    if block is None:
+        blocks = list(map(_block_reader(fields["degree"], target), blocks))
+    return Irrep(fields["label"], group, fields["degree"], tuple(blocks))
+
+
+def _block_reader(degree, target):
+    """The reader of one matrix block: its shape, then its scalars, each
+    promoted to the conductor target.  A Cyclo is immutable, so a repeated
+    scalar shares one parsed value; only exact JSON ints and strings make
+    a key (1, 1.0 and true hash alike)."""
     parsed = {}
 
     def scalar(v):
-        # a Cyclo is immutable, so a repeated scalar shares one parsed value;
-        # only exact JSON ints and strings make a key (1, 1.0 and true hash alike)
         coeffs = v.get("coeffs") if isinstance(v, dict) else None
         if not (isinstance(coeffs, list) and type(v.get("conductor")) is int
                 and {int, str}.issuperset(map(type, coeffs))):
@@ -487,14 +542,12 @@ def irrep_from_dict(group: Group, data) -> Irrep:
             parsed[key] = Cyclo.from_dict(v).promote(target)
         return parsed[key]
 
-    matrices = []
-    for mat in data["matrices"]:
-        if not (isinstance(mat, list) and len(mat) == degree
-                and all(isinstance(row, list) and len(row) == degree for row in mat)):
-            raise ValueError("matrix block is not degree x degree")
-        matrices.append(tuple(tuple(map(scalar, row)) for row in mat))
-    return Irrep(data["label"], group, degree, tuple(matrices))
+    def block(mat):
+        if not (isinstance(mat, list) and len(mat) == degree):
+            raise ValueError(_NOT_SQUARE)
+        for row in mat:
+            if not (isinstance(row, list) and len(row) == degree):
+                raise ValueError(_NOT_SQUARE)
+        return tuple(map(tuple, map(map, repeat(scalar), mat)))  # no Python frame per row
 
-
-def load_irrep(path, group: Group) -> Irrep:
-    return irrep_from_dict(group, read_json(path))
+    return block

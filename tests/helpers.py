@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and separate from the package
 implementation: permutation composition from scratch, polynomial
-reduction from scratch, group-table line checks as first written,
-convolution straight off the definition, the Leibniz determinant and the
-double determinant as permutation sums, a free-word ring, a direct
+reduction from scratch, group-table line checks row by row in plain
+Python, group and irrep files read whole by json.loads, convolution
+straight off the definition, the Leibniz determinant and the double
+determinant as permutation sums, a free-word ring, a direct
 differential-action evaluator, the catalog irreps from generator images
 closed under matrix products, irrep validation by one matrix product per
 pair, the determinant variants built directly at a shift
@@ -15,6 +16,7 @@ each fast path of the package, its oracle and the test that compares
 them.
 """
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +25,8 @@ from itertools import permutations
 from capelli_lab import linalg
 from capelli_lab.algebra import AlgebraElement
 from capelli_lab.catalog import catalog_group
-from capelli_lab.cyclo import Cyclo
-from capelli_lab.groups import NotAGroup, exponent
+from capelli_lab.cyclo import CONDUCTOR_LIMIT, Cyclo
+from capelli_lab.groups import Group, NotAGroup, _greedy_generators, exponent
 from capelli_lab.irreps import E_matrix, Irrep
 from capelli_lab.ncdet import (
     ZPoly,
@@ -285,30 +287,104 @@ def brute_associative(table):
     )
 
 
-def table_lines_reference(table, from_file):
-    """The shape, range and Latin-square checks of a group table as they
-    stood before validation moved to one set per row: each entry through
-    int() (after the file route's type check), a min/max range scan per
-    row, then one set per row and per column, row i before column i.
-    Returns the table as tuples or raises what that code raised."""
-    if from_file and not all(isinstance(row, list) and {int}.issuperset(map(type, row))
-                             for row in table):
-        raise ValueError("field 'table' must be a list of rows of integers")
-    n = len(table)
+def table_lines_reference(table):
+    """The line checks of a group table one row at a time, as a file's
+    rows arrive: the first row's length is the order n; each row must be a
+    list of integers, then of length n over 0..n-1, then a permutation;
+    an (n+1)-th row or a missing one is refused; then the columns, in
+    index order.  Returns the table as tuples or raises what the package
+    must raise."""
     rows = []
-    for row in table:
-        row = tuple(map(int, row))
-        if len(row) != n or min(row) < 0 or max(row) >= n:
+    n = None
+    for i, row in enumerate(table):
+        if not (isinstance(row, (list, tuple)) and all(type(v) is int for v in row)):
+            raise ValueError("field 'table' must be a list of rows of integers")
+        if n is None:
+            n = len(row)
+        if i == n or len(row) != n or not all(0 <= v < n for v in row):
             raise NotAGroup("table is not n x n over 0..n-1")
-        rows.append(row)
-    table = tuple(rows)
-    columns = tuple(zip(*table))
-    for i in range(n):
-        if len(set(table[i])) != n:
+        if len(set(row)) != n:
             raise NotAGroup("row is not a permutation", witness=i)
-        if len(set(columns[i])) != n:
-            raise NotAGroup("column is not a permutation", witness=i)
-    return table
+        rows.append(tuple(row))
+    if not rows:
+        raise NotAGroup("empty table")
+    if len(rows) != n:
+        raise NotAGroup("table is not n x n over 0..n-1")
+    for j in range(n):
+        if len({row[j] for row in rows}) != n:
+            raise NotAGroup("column is not a permutation", witness=j)
+    return tuple(rows)
+
+
+# -- the file route before tables were read row by row -------------------------------------
+#
+# json.loads over the whole file, then the checks of groups.group_from_dict
+# and irreps.irrep_from_dict as they stood then: the differential tests in
+# tests/test_jsonread.py compare the streamed route's decision and exit code
+# with these.  Only the decision is kept: the group checks below run in
+# any order, so the table checks are the naive ones.
+
+
+def parent_load_group(raw, max_order):
+    """The group of a file's bytes as the whole-file route built it; a
+    refusal raises ValueError or KeyError (exit 2)."""
+    try:
+        data = json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict) or not isinstance(data.get("table"), list):
+        raise ValueError("a group is an object with a 'table' list")
+    table = data["table"]
+    n = len(table)
+    if n > max_order:
+        raise ValueError(f"group order {n} exceeds limit {max_order}")
+    if type(data["order"]) is not int or n != data["order"]:
+        raise ValueError("order")
+    if not isinstance(data["name"], str):
+        raise ValueError("name")
+    names = data["elements"]
+    if not (isinstance(names, list) and all(isinstance(e, str) for e in names)):
+        raise ValueError("elements")
+    rows = table_lines_reference(table)
+    if len(names) != n:
+        raise ValueError("names")
+    identity = next((e for e in range(n) if rows[e] == tuple(range(n))
+                     and all(rows[g][e] == g for g in range(n))), None)
+    if identity is None:
+        raise ValueError("identity")
+    inverses = tuple(rows[g].index(identity) for g in range(n))
+    if any(rows[inverses[g]][g] != identity for g in range(n)) or not brute_associative(rows):
+        raise ValueError("inverse or associativity")
+    return Group(data["name"], n, tuple(names), rows, identity, inverses,
+                 _greedy_generators(rows))
+
+
+def parent_load_irrep(raw, group):
+    """The irrep of a file's bytes as the whole-file route read it; a
+    refusal raises ValueError or KeyError (exit 3)."""
+    try:
+        data = json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict) or not isinstance(data.get("matrices"), list):
+        raise ValueError("an irrep is an object with a 'matrices' list")
+    if not (isinstance(data.get("label"), str) and data.get("group") == group.name
+            and len(data["matrices"]) == group.order):
+        raise ValueError("label, group or count")
+    declared, degree = data["conductor"], data["degree"]
+    if not all(type(v) is int and v > 0 for v in (declared, degree)):
+        raise ValueError("conductor or degree")
+    target = math.lcm(declared, exponent(group))
+    if target > CONDUCTOR_LIMIT:
+        raise ValueError("conductor")
+    matrices = []
+    for mat in data["matrices"]:
+        if not (isinstance(mat, list) and len(mat) == degree
+                and all(isinstance(row, list) and len(row) == degree for row in mat)):
+            raise ValueError("matrix block is not degree x degree")
+        matrices.append(tuple(tuple(Cyclo.from_dict(v).promote(target) for v in row)
+                              for row in mat))
+    return Irrep(data["label"], group, degree, tuple(matrices))
 
 
 def matrix_product(a, b):
@@ -645,6 +721,10 @@ FAST_PATHS = (
      "tests/test_induction.py::test_catalog_irreps_equal_generator_image_oracle"),
     ("capelli_lab.groups.build_group_from_table", "helpers.table_lines_reference",
      "tests/test_groups.py::test_table_checks_match_reference"),
+    ("capelli_lab.groups.load_group", "helpers.parent_load_group",
+     "tests/test_jsonread.py::test_group_files_match_the_whole_file_route"),
+    ("capelli_lab.irreps.load_irrep", "helpers.parent_load_irrep",
+     "tests/test_jsonread.py::test_irrep_files_match_the_whole_file_route"),
     ("capelli_lab.groups.build_group_from_table", "helpers.brute_associative",
      "tests/test_groups.py::test_every_loop_up_to_order_6_matches_full_scan"),
     ("capelli_lab.algebra.AlgebraElement.__mul__", "helpers.naive_convolve",

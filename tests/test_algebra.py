@@ -14,7 +14,7 @@ from capelli_lab.algebra import (
 )
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
-from capelli_lab.groups import conjugacy_classes, exponent
+from capelli_lab.groups import build_group_from_table, conjugacy_classes, exponent
 from helpers import naive_convolve
 
 S3 = catalog_group("S3")
@@ -227,3 +227,16 @@ def test_class_sum_combinations_round_trip(weights):
         total = total + w * class_sum(S3, cls)
     assert total.is_central()
     assert total.coordinates_in_class_sums(classes) == weights
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cyclo.format_sum takes the joining sign from a term's text; deciding it from the "
+    "coefficient also changes the rendered Q8 Capelli elements in perfbench/golden.json "
+    "(element '-1' etc.), so the fix waits for a benchmark change"))
+def test_element_names_that_start_with_a_minus_print_verbatim():
+    # the joining sign should come from the coefficient, never from the name
+    c2 = build_group_from_table("C2", ["e", "-c"], [[0, 1], [1, 0]])
+    e, c = AlgebraElement.basis(c2, 0), AlgebraElement.basis(c2, 1)
+    assert str(e + c) == "e + -c"
+    assert str(e - c) == "e - -c"
+    assert str(e + c.scale(2)) == "e + 2*-c"

@@ -403,10 +403,11 @@ def _flat_rows(data):
 
 
 @pytest.mark.parametrize("edit, limit, message", [
-    (None, "5", "error: group order 6 exceeds limit 5"),
-    (_not_latin, "5", "error: group order 6 exceeds limit 5"),
+    # the six element names come before the table, and the sixth is refused
+    (None, "5", "error: more than 5 element names: group order exceeds limit 5"),
+    (_not_latin, "5", "error: more than 5 element names: group order exceeds limit 5"),
     (_wrong_order, "10000", "declared order 7 but table has 6"),
-    (_flat_rows, "5", "error: group order 6 exceeds limit 5"),
+    (_flat_rows, "5", "error: more than 5 element names: group order exceeds limit 5"),
 ], ids=["over-limit-group", "over-limit-non-group", "wrong-declared-order", "over-limit-flat-rows"])
 def test_group_file_refused_before_validation(tmp_path, capsys, monkeypatch, edit, limit, message):
     monkeypatch.setattr(groups, "build_group_from_table", _no_build)

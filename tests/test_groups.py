@@ -101,14 +101,16 @@ def _outcome(build):
 def assert_line_types_agree(table):
     """Every line type that can hold the table gives the outcome of
     build_group_from_table: bytes up to order 256, tuples from order 2
-    (itemgetter of one index returns no tuple).  Returns that outcome."""
-    n = len(table)
+    (itemgetter of one index returns no tuple), the order being the first
+    row's length.  Returns that outcome."""
+    n = len(table[0]) if table and isinstance(table[0], (list, tuple)) else len(table)
     names = [str(i) for i in range(n)]
     expected = _outcome(lambda: build_group_from_table("G", names, table))
     line_types = [lines for lines, fits in ((groups._ByteLines, n <= 256),
                                             (groups._TupleLines, n >= 2)) if fits]
     for lines in line_types:
-        assert _outcome(lambda: groups._build_group("G", names, table, lines(n))) == expected
+        assert _outcome(lambda: build_group_from_table(
+            "G", names, groups.read_table(table, line_type=lines))) == expected
     return expected
 
 
@@ -192,12 +194,15 @@ def test_catalog_generators_reach_the_group(name):
 
 
 TABLE_MUTATIONS = ("none", "short-row", "long-row", "entry-n", "entry-minus-1", "true",
-                   "float", "string", "row-duplicate", "column-duplicate")
+                   "float", "string", "row-duplicate", "column-duplicate", "swap-in-row")
 
 
 @st.composite
 def mutated_catalog_tables(draw):
-    """A relabelled catalog group table with one mutation at a drawn cell."""
+    """A relabelled catalog group table with one mutation at a drawn cell.
+    A single changed entry leaves its row no permutation; swapping two
+    entries of a row (swap-in-row) keeps the row a permutation and breaks
+    two columns, so only the column check can refuse it."""
     group = catalog_group(draw(st.sampled_from(catalog_names())))
     n = group.order
     perm = draw(st.permutations(range(n)))
@@ -219,6 +224,8 @@ def mutated_catalog_tables(draw):
         table[r][c] = table[r][other]
     elif kind == "column-duplicate" and n > 1:
         table[r][c] = table[other][c]
+    elif kind == "swap-in-row":
+        table[r][c], table[r][other] = table[r][other], table[r][c]
     return kind, table
 
 
@@ -241,29 +248,26 @@ def _true_at_a_one_cell():
 @given(mutated_catalog_tables())
 @example(_true_at_a_one_cell())
 def test_table_checks_match_reference(case):
+    # in-memory tables and decoded files go through the same row-by-row checks
     kind, table = case
     names = [str(i) for i in range(len(table))]
     data = {"name": "G", "order": len(table), "elements": names, "table": table}
-    expected = _table_outcome(lambda: table_lines_reference(table, from_file=True))
+    expected = _table_outcome(lambda: table_lines_reference(table))
     loaded = _table_outcome(lambda: group_from_dict(data))
     built = _table_outcome(lambda: assert_line_types_agree(table))
-    assert loaded == expected
+    assert loaded == built == expected
     if kind == "none":
         assert loaded == tuple(map(tuple, table))
-    if kind in ("true", "float", "string"):
-        # direct callers now meet the file route's type check instead of int()
-        assert built == (ValueError, "field 'table' must be a list of rows of integers", None)
-    else:
-        assert built == loaded
 
 
 @pytest.mark.parametrize("value", [0, 1])
-def test_type_error_in_a_later_row_wins_over_a_short_first_row(value):
+def test_a_short_first_row_wins_over_a_type_error_in_a_later_row(value):
+    # the first row sets the order: row 1 is then too long, and row 3 is
+    # never read
     table = cyclic_table(4)
     table[0].pop()
     table[3][table[3].index(value)] = True
-    assert assert_line_types_agree(table) == (
-        ValueError, "field 'table' must be a list of rows of integers", None)
+    assert assert_line_types_agree(table) == (NotAGroup, "table is not n x n over 0..n-1", None)
 
 
 # -- tables at the edge of the byte lines (order 256) --------------------------------
@@ -368,7 +372,7 @@ def assert_first_associativity_failure(table, witness):
 def test_boundary_tables_match_reference(name, kind):
     table = mutate_boundary_table(name, kind)
     outcome = assert_line_types_agree(table)
-    reference = _table_outcome(lambda: table_lines_reference(table, from_file=True))
+    reference = _table_outcome(lambda: table_lines_reference(table))
     if kind == "none":
         assert outcome.table == reference == tuple(map(tuple, table))
     elif kind == "intercalate":

@@ -515,10 +515,14 @@ def test_irrep_json_rejects_wrong_group():
 
 
 def test_irrep_json_counts_matrices_before_reading_scalars():
+    # a seventh block is refused by the count before its scalars are read;
+    # a missing block is found after the last one
     std = catalog_irreps("S3").by_label("std")
     data = irrep_to_dict(std)
-    data["matrices"] = data["matrices"][:-1]
-    data["matrices"][0][0][0] = {"conductor": 3, "coeffs": []}  # not a scalar
+    data["matrices"].append([[{"conductor": 3, "coeffs": []}] * 2] * 2)  # not scalars
+    with pytest.raises(ValueError, match="more than 6 matrices for group of order 6"):
+        irrep_from_dict(std.group, data)
+    data["matrices"] = data["matrices"][:5]
     with pytest.raises(ValueError, match="5 matrices for group of order 6"):
         irrep_from_dict(std.group, data)
 
