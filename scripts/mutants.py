@@ -222,10 +222,16 @@ MUTANTS = (
         ("tests/test_jsonread.py::test_repeated_top_level_keys_are_refused",),
     ),
     Mutant(
+        "malformed-item-read-to-the-end", "src/capelli_lab/jsonread.py",
+        "if self.eof or (exc.pos + _CUT_TOKEN < len(self.text)",
+        "if self.eof or (False",
+        ("tests/test_jsonread.py::test_a_malformed_row_is_refused_where_it_fails",),
+    ),
+    Mutant(
         "number-cut-short-taken-whole", "src/capelli_lab/jsonread.py",
         '_NUMBER_GOES_ON = ".eE"',
         '_NUMBER_GOES_ON = ""',
-        ("tests/test_jsonread.py::test_numbers_cut_by_a_chunk_boundary_are_read_whole",),
+        ("tests/test_jsonread.py::test_tokens_cut_by_a_chunk_boundary_are_read_whole",),
     ),
     # the Taylor shift against the binomial expansion
     Mutant(

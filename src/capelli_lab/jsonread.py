@@ -9,8 +9,9 @@ as the walk has reached, and JSONDecoder.raw_decode (json.decoder's C
 scanner, scanstring for strings) decodes each key and value.  The value
 of a streamed member that is an array comes as an iterator over its
 items, each decoded when it is taken, so a caller that refuses at an item
-never decodes, or reads much past, what follows it.  Every other member,
-and each array item, is decoded whole.
+never decodes, or reads much past, what follows it; a malformed item is
+refused where it fails.  Every other member, and each array item, is
+decoded whole, so an unterminated string is read to the end of the file.
 
 The grammar is the one json.loads reads: the same whitespace, NaN and
 Infinity, strict strings, and malformed input raises ValueError.  One
@@ -34,6 +35,7 @@ _decode, _scan = _decoder.raw_decode, _decoder.scan_once
 _skip = WHITESPACE.match
 _SPACE = " \t\n\r"  # what WHITESPACE matches
 _NUMBER_GOES_ON = ".eE"  # after a number cut short; never after a whole value in valid JSON
+_CUT_TOKEN = len("-Infinity")  # the longest token whose cut-off prefix fails where it starts
 
 
 class _Reader:
@@ -75,16 +77,18 @@ class _Reader:
             self._more()
 
     def value(self):
-        """Decode the next value.  A value that fails, or that ends where
-        the text read so far ends or before one of ".eE" (a number cut
-        short), may be cut off, so it is decoded again with more text,
-        until the file ends."""
+        """Decode the next value.  A value may be cut off by the end of the
+        text read so far when it ends there or before one of ".eE" (a
+        number cut short), or when it fails in an unterminated string or
+        within the last few characters; it is then decoded again with more
+        text, until the file ends.  Any other failure is final."""
         self.char()
         while True:
             try:
                 value, end = _decode(self.text, self.pos)
-            except JSONDecodeError:
-                if self.eof:
+            except JSONDecodeError as exc:
+                if self.eof or (exc.pos + _CUT_TOKEN < len(self.text)
+                                and not exc.msg.startswith("Unterminated string")):
                     raise
             except RecursionError:
                 raise ValueError("JSON nested too deeply") from None

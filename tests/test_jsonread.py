@@ -251,13 +251,17 @@ def test_reader_grammar(tmp_path, text, ok, chunk):
         json.loads(text)
 
 
-@pytest.mark.parametrize("chunk", range(4, 40))
-def test_numbers_cut_by_a_chunk_boundary_are_read_whole(tmp_path, chunk):
-    # a number cut after "1." or "3e" scans as a shorter number
-    text = '{"a": [10.25, 3e-7, -0.5E+2, 12345, 1.0], "b": 2.5e1}'
-    path = _write(tmp_path, "doc.json", text, "utf-8")
+CUT_TOKENS = ('{"a": [10.25, 3e-7, -0.5E+2, 12345, 1.0, -Infinity, true, null, '
+              '"x\\u00e9\\ud83d\\ude00\\"y", [1, {"k": "v"}]], "b": 2.5e1, "c": false}')
+
+
+@pytest.mark.parametrize("chunk", range(4, len(CUT_TOKENS) + 1))
+def test_tokens_cut_by_a_chunk_boundary_are_read_whole(tmp_path, chunk):
+    # a number cut after "1." or "3e" scans as a shorter number, and a cut
+    # literal or escape fails where it starts: each is read again with more
+    path = _write(tmp_path, "doc.json", CUT_TOKENS, "utf-8")
     with mock.patch.object(jsonread, "CHUNK", chunk):
-        assert dict(_read_all(path, ("a",))) == json.loads(text)
+        assert dict(_read_all(path, ("a",))) == json.loads(CUT_TOKENS)
 
 
 def test_repeated_top_level_keys_are_refused(tmp_path):
@@ -301,6 +305,14 @@ def test_a_bad_row_is_refused_before_the_next_is_read(tmp_path):
     with pytest.raises(NotAGroup, match="row is not a permutation") as exc:
         load_group(path)
     assert exc.value.witness == 3
+
+
+def test_a_malformed_row_is_refused_where_it_fails(tmp_path):
+    # a cut-off row would be read again with more text; this one cannot be
+    path = tmp_path / "group.json"
+    path.write_bytes((_group_prefix(8) + "[0, 1, x, 3]").encode() + PAST_THE_CHUNK)
+    with pytest.raises(json.JSONDecodeError, match="Expecting value"):
+        load_group(path)
 
 
 def test_row_n_plus_one_is_refused_before_the_next_is_read(tmp_path):
