@@ -107,16 +107,17 @@ MUTANTS = (
         ("tests/test_weyl.py::test_commutator_matches_product_oracle",),
     ),
     Mutant(
-        "reordering-alpha-power-dropped", "src/capelli_lab/weyl.py",
-        "_falling(xb[v], k) * alpha**k",
-        "_falling(xb[v], k) * alpha",
+        "reordering-falling-factor-dropped", "src/capelli_lab/weyl.py",
+        "mult *= math.comb(da[v], k) * math.perm(xb[v], k)",
+        "mult *= math.comb(da[v], k)",
         ("tests/test_weyl.py::test_product_and_commutator_act_by_composition",),
     ),
+    # the grid algebra at alpha as x and alpha * d in the one at 1
     Mutant(
-        "reordering-falling-factor-dropped", "src/capelli_lab/weyl.py",
-        "mult *= math.comb(da[v], k) * _falling(xb[v], k) * alpha**k",
-        "mult *= math.comb(da[v], k) * alpha**k",
-        ("tests/test_weyl.py::test_product_and_commutator_act_by_composition",),
+        "generic-d-unscaled", "src/capelli_lab/weyl.py",
+        "WeylOp.d(ctx, i * m + j, alpha)",
+        "WeylOp.d(ctx, i * m + j)",
+        ("tests/test_weyl.py::test_generic_grid_is_x_and_alpha_d",),
     ),
     # an irrep's identities derived from the generic ones
     Mutant(

@@ -390,14 +390,32 @@ class Cyclo:
         return format_sum((Fraction(v, self.den), powers[i]) for i, v in enumerate(self.num) if v)
 
 
+def _int_text(n: int) -> str:
+    """str(n), or <k-digits> when its k digits are more than str converts
+    (sys.get_int_max_str_digits())."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int(abs(n).bit_length() * math.log10(2)) - 1  # below the digit count
+        while 10**k <= abs(n):
+            k += 1
+        return f"{'-' if n < 0 else ''}<{k}-digits>"
+
+
 def format_sum(terms) -> str:
     """(coefficient, monomial) pairs, zeros left out and "" the monomial of
     a constant, as text: a coefficient holding a space is parenthesized, 1
     and -1 before a monomial are dropped to its sign, and a later term
-    joins with " - " when it starts with "-", else " + "; "0" if empty."""
+    joins with " - " when it starts with "-", else " + "; "0" if empty.
+    An integer too long for str is a placeholder that gives its size."""
     out = ""
     for coefficient, monomial in terms:
-        cs = str(coefficient)
+        if isinstance(coefficient, (int, Fraction)):
+            cs = _int_text(coefficient.numerator)
+            if coefficient.denominator != 1:
+                cs += "/" + _int_text(coefficient.denominator)
+        else:
+            cs = str(coefficient)
         if " " in cs:
             cs = f"({cs})"
         if not monomial:

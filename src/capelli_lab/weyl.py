@@ -2,11 +2,12 @@
 
 Operators are stored normal-ordered: a sparse map from (x-multidegree,
 d-multidegree) pairs to cyclotomic coefficients, with all multiplication
-operators to the left of all differentiations.  The single reordering
-rule is d^b x^a = sum over k of C(b,k) * falling(a,k) * alpha^k *
-x^(a-k) d^(b-k) per variable, distinct variables commuting.  Canonical
-form makes operator equality a term-by-term comparison, which is
-strictly stronger than agreeing on any bounded-degree polynomial.
+operators to the left of all differentiations.  There is one algebra,
+[d, x] = 1, and its single reordering rule is d^b x^a = sum over k of
+C(b,k) * falling(a,k) * x^(a-k) d^(b-k) per variable, distinct variables
+commuting.  Canonical form makes operator equality a term-by-term
+comparison, which is strictly stronger than agreeing on any
+bounded-degree polynomial.
 
 The rule lives in one helper, `_add_reordered`: a product expands
 every term pair through it, a commutator only the pairs where a d
@@ -17,13 +18,15 @@ never forms it, nor the pairs that have nothing else, and so never
 forms the two full products.
 
 Every operator the package builds lives on an m x m grid of formal
-entries (the generic setting, any alpha; `build_generic`).  An irrep's
-X and D are combinations of one variable per group element at base
-alpha 1, and satisfy the grid relations with alpha = group order /
-degree; those relations are scalar orthogonality sums of its matrix
-coefficients, which `irreps.orthogonality_witness` checks without
-building an operator (`verify_rep_relations`).  Its Pi relations and Capelli
-identity are the generic ones at (m, alpha = |G|/m), carried over by the
+entries (`build_generic`).  The grid algebra at alpha, [d_ij, x_kl] =
+alpha * delta_ik * delta_jl, is not a second algebra: alpha is a scalar
+on d, and x and alpha * d generate it inside this one.  An irrep's X and
+D are combinations of one variable per group element, and satisfy the
+grid relations with alpha = group order / degree; those relations are
+scalar orthogonality sums of its matrix coefficients, which
+`irreps.orthogonality_witness` checks without building an operator
+(`verify_rep_relations`).  Its Pi relations and Capelli identity are the
+generic ones at (m, alpha = |G|/m), carried over by the
 homomorphism x_ij -> X_ij, d_ij -> D_ij that the relations define
 (`verify_rep_identity`).
 
@@ -67,28 +70,20 @@ class ContextMismatch(ValueError):
 @dataclass(frozen=True)
 class WeylContext:
     names: tuple[str, ...]
-    alpha: Fraction
-    conductor: int = 1
+    conductor: int = 1  # the coefficient field is Q(zeta_conductor)
 
     @property
     def size(self) -> int:
         return len(self.names)
 
 
-def _falling(a: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= a - i
-    return out
-
-
-def _add_reordered(out: dict, alpha, base, xa, da, xb, db, hot, drop_plain: bool) -> None:
+def _add_reordered(out: dict, base, xa, da, xb, db, hot, drop_plain: bool) -> None:
     """Add base * x^xa d^da x^xb d^db, normal-ordered, to `out`.
 
     The one home of the reordering rule: at each hot variable v (da[v]
     and xb[v] both nonzero) the k-th term of d^b x^a carries
-    C(b, k) * falling(a, k) * alpha^k and lowers both degrees by k.  The
-    first k-tuple is all zeros, the plain concatenation
+    C(b, k) * falling(a, k) (math.perm) and lowers both degrees by k.
+    The first k-tuple is all zeros, the plain concatenation
     x^(xa+xb) d^(da+db); `drop_plain` leaves it out.
     """
     add = int.__add__
@@ -103,7 +98,7 @@ def _add_reordered(out: dict, alpha, base, xa, da, xb, db, hot, drop_plain: bool
             xs, ds = list(xs0), list(ds0)
             for v, k in zip(hot, ks):
                 if k:
-                    mult *= math.comb(da[v], k) * _falling(xb[v], k) * alpha**k
+                    mult *= math.comb(da[v], k) * math.perm(xb[v], k)
                     xs[v] -= k
                     ds[v] -= k
             key = (tuple(xs), tuple(ds))
@@ -130,29 +125,27 @@ class WeylOp:
         return WeylOp(ctx, {})
 
     @staticmethod
+    def _monomial(ctx: WeylContext, x_var, d_var, coeff) -> "WeylOp":
+        # coeff * x_(x_var) * d_(d_var); a None variable leaves its factor out
+        xdeg, ddeg = (tuple(int(v == var) for v in range(ctx.size)) for var in (x_var, d_var))
+        c = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff, ctx.conductor)
+        return WeylOp(ctx, {(xdeg, ddeg): c} if c else {})
+
+    @staticmethod
     def one(ctx: WeylContext) -> "WeylOp":
-        empty = (0,) * ctx.size
-        return WeylOp(ctx, {(empty, empty): Cyclo.one(ctx.conductor)})
+        return WeylOp.scalar(ctx, 1)
 
     @staticmethod
     def x(ctx: WeylContext, var: int, coeff=1) -> "WeylOp":
-        empty = (0,) * ctx.size
-        deg = tuple(1 if v == var else 0 for v in range(ctx.size))
-        c = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff, ctx.conductor)
-        return WeylOp(ctx, {(deg, empty): c} if c else {})
+        return WeylOp._monomial(ctx, var, None, coeff)
 
     @staticmethod
     def d(ctx: WeylContext, var: int, coeff=1) -> "WeylOp":
-        empty = (0,) * ctx.size
-        deg = tuple(1 if v == var else 0 for v in range(ctx.size))
-        c = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff, ctx.conductor)
-        return WeylOp(ctx, {(empty, deg): c} if c else {})
+        return WeylOp._monomial(ctx, None, var, coeff)
 
     @staticmethod
     def scalar(ctx: WeylContext, value) -> "WeylOp":
-        empty = (0,) * ctx.size
-        c = value if isinstance(value, Cyclo) else Cyclo.rational(value, ctx.conductor)
-        return WeylOp(ctx, {(empty, empty): c} if c else {})
+        return WeylOp._monomial(ctx, None, None, value)
 
     # -- ring operations ------------------------------------------------------
 
@@ -183,15 +176,13 @@ class WeylOp:
         return self + (-other)
 
     def scale(self, scalar) -> "WeylOp":
-        if isinstance(scalar, Cyclo):
-            s = scalar.promote(self.context.conductor) if scalar.conductor != self.context.conductor else scalar
-        elif scalar == 1:
-            return self
-        else:
-            s = Cyclo.rational(scalar, self.context.conductor)
-        if not s:
+        if not isinstance(scalar, Cyclo):
+            if scalar == 1:
+                return self
+            scalar = Cyclo.rational(scalar, self.context.conductor)
+        if not scalar:
             return WeylOp.zero(self.context)
-        return WeylOp(self.context, {k: s * c for k, c in self.terms.items()})
+        return WeylOp(self.context, {k: scalar * c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -199,19 +190,15 @@ class WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        alpha = self.context.alpha
         out: dict = {}
         for (xa, da), ca in self.terms.items():
             da_support = [v for v, e in enumerate(da) if e]
             for (xb, db), cb in other.terms.items():
                 hot = [v for v in da_support if xb[v]]
-                _add_reordered(out, alpha, ca * cb, xa, da, xb, db, hot, False)
+                _add_reordered(out, ca * cb, xa, da, xb, db, hot, False)
         return WeylOp(self.context, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a scalar on the left, which commutes
 
     def __bool__(self):
         return bool(self.terms)
@@ -258,7 +245,6 @@ def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
 def _add_cross_terms(out: dict, left: WeylOp, right: WeylOp, negate: bool) -> None:
     """Add the terms of left*right with some k != 0 to `out`, negated
     if `negate`."""
-    alpha = left.context.alpha
     right_terms = list(right.terms.items())
     by_x_var: dict = {}
     for j, ((xb, _), _) in enumerate(right_terms):
@@ -274,38 +260,29 @@ def _add_cross_terms(out: dict, left: WeylOp, right: WeylOp, negate: bool) -> No
         for j in set().union(*(by_x_var[v] for v in support)):
             (xb, db), cb = right_terms[j]
             hot = [v for v in support if xb[v]]
-            _add_reordered(out, alpha, ca * cb, xa, da, xb, db, hot, True)
+            _add_reordered(out, ca * cb, xa, da, xb, db, hot, True)
 
 
 # -- matrix builders --------------------------------------------------------------
 
 
 def build_generic(m: int, alpha) -> tuple[WeylContext, list, list, list]:
-    """The m x m grid of variables with X = (x_ij), D = (d_ij) and
-    Pi = transpose(X) * D."""
+    """The m x m grid of variables with X = (x_ij), D = (alpha * d_ij)
+    and Pi = transpose(X) * D: [D_ij, X_kl] = alpha * delta_ik * delta_jl,
+    the grid algebra at alpha."""
     if m > GENERIC_SIZE_LIMIT:
         raise SizeLimit(f"generic size {m} exceeds limit {GENERIC_SIZE_LIMIT}")
-    names = tuple(f"{i+1}{j+1}" for i in range(m) for j in range(m))
-    ctx = WeylContext(names, Fraction(alpha), 1)
+    ctx = WeylContext(tuple(f"{i+1}{j+1}" for i in range(m) for j in range(m)))
     xm = [[WeylOp.x(ctx, i * m + j) for j in range(m)] for i in range(m)]
-    dm = [[WeylOp.d(ctx, i * m + j) for j in range(m)] for i in range(m)]
-    pi = transpose_product(ctx, xm, dm)
-    return ctx, xm, dm, pi
+    dm = [[WeylOp.d(ctx, i * m + j, alpha) for j in range(m)] for i in range(m)]
+    return ctx, xm, dm, transpose_product(ctx, xm, dm)
 
 
 def transpose_product(ctx, xm, dm):
     """Pi = transpose(X) * D, the one formula for every Pi."""
     m = len(xm)
-    pi = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = WeylOp.zero(ctx)
-            for k in range(m):
-                acc = acc + xm[k][i] * dm[k][j]
-            row.append(acc)
-        pi.append(row)
-    return pi
+    return [[sum((xm[k][i] * dm[k][j] for k in range(m)), WeylOp.zero(ctx)) for j in range(m)]
+            for i in range(m)]
 
 
 # -- relation verifiers --------------------------------------------------------------
@@ -315,11 +292,10 @@ def verify_rep_relations(irrep: Irrep) -> Report:
     """[X,X] = 0, [D,D] = 0, [D_ij, X_kl] = (|G|/degree) delta delta.
 
     X_kl = sum over g of conj(matrix(g)_kl) * x_g and D_ij = sum over g of
-    matrix(g)_ij * d_g, with one variable per group element at base
-    alpha 1.  No operator is built.  The x_g commute with each other, and
-    so do the d_g, so X entries commute with X entries and D entries with
-    D entries whatever the matrices: the first two rows hold by
-    construction.  [d_g, x_h] = delta_gh makes [D_ij, X_kl] the scalar
+    matrix(g)_ij * d_g, with one variable per group element.  No operator
+    is built.  The x_g commute with each other, and so do the d_g, so X
+    entries commute with X entries and D entries with D entries whatever
+    the matrices: the first two rows hold by construction.  [d_g, x_h] = delta_gh makes [D_ij, X_kl] the scalar
     sum over g of matrix(g)_ij * conj(matrix(g)_kl), the orthogonality
     sum of matrix coefficients, which `irreps.orthogonality_witness`
     checks; the witness is its first failing (i, j, k, l).
@@ -364,9 +340,13 @@ def verify_rep_identity(irrep: Irrep, identity: str, relations: Report | None = 
 
     The grid Weyl algebra A at alpha is presented by the generators x_ij,
     d_ij and the relations [x, x] = 0, [d, d] = 0, [d_ij, x_kl] =
-    alpha * delta_ik * delta_jl.  Its normal-ordered monomials form a PBW
-    basis, and a `WeylOp` holds exactly the coordinates in that basis, so
-    the generic identity checked in normal form holds in A itself.
+    alpha * delta_ik * delta_jl.  For alpha != 0 (here alpha = |G|/m > 0)
+    it is the subalgebra of the algebra at 1 generated by x_ij and
+    alpha * d_ij, the X and D of `build_generic`: its PBW monomials
+    x^a D^b = alpha^|b| * x^a d^b are nonzero multiples of distinct
+    normal-ordered monomials, so they stay independent, and a `WeylOp`
+    holds exactly the coordinates in that basis.  The generic identity
+    checked in normal form therefore holds in A itself.
     `relations` (by default `verify_rep_relations(irrep)`) checks the same
     relations for the irrep's X and D; once they all pass, x_ij -> X_ij,
     d_ij -> D_ij extends to an algebra homomorphism phi out of A.  phi
@@ -378,7 +358,7 @@ def verify_rep_identity(irrep: Irrep, identity: str, relations: Report | None = 
     """
     report = Report()
     try:
-        ctx, xm, dm, pi = build_generic(irrep.degree, irrep.alpha)
+        _, xm, dm, pi = build_generic(irrep.degree, irrep.alpha)
     except SizeLimit as exc:
         report.results.append(CheckResult(identity, irrep.label, "skipped", str(exc)))
         return report
@@ -388,10 +368,10 @@ def verify_rep_identity(irrep: Irrep, identity: str, relations: Report | None = 
                    f"not derived: {broken[0].check} fails at {broken[0].detail}")
         return report
     if identity == "pi-relations":
-        [generic] = verify_pi_relations(pi, ctx.alpha).results
+        [generic] = verify_pi_relations(pi, irrep.alpha).results
     else:
-        [generic] = verify_capelli(xm, dm, pi, ctx.alpha).results
-    route = f"generic m={irrep.degree} alpha={ctx.alpha}"
+        [generic] = verify_capelli(xm, dm, pi, irrep.alpha).results
+    route = f"generic m={irrep.degree} alpha={irrep.alpha}"
     ok = generic.status == "pass"
     report.add(identity, irrep.label, ok, f"derived from {route} by x_ij -> X_ij, d_ij -> D_ij"
                if ok else f"{route} fails {generic.detail}".rstrip())

@@ -630,10 +630,10 @@ def det_equalities_direct(m):
 
 
 def build_rep(irrep):
-    """One variable per group element at base alpha 1; X uses conjugated
-    matrix entries, D the plain ones."""
+    """One variable per group element, [d_g, x_h] = delta_gh; X uses
+    conjugated matrix entries, D the plain ones."""
     group = irrep.group
-    ctx = WeylContext(tuple(group.element_names), Fraction(1), irrep.conductor)
+    ctx = WeylContext(tuple(group.element_names), irrep.conductor)
     m = irrep.degree
     xm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
     dm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
@@ -707,6 +707,8 @@ FAST_PATHS = (
      "tests/test_weyl.py::test_commutator_matches_product_oracle"),
     ("capelli_lab.weyl.WeylOp.__mul__", "helpers.act",
      "tests/test_weyl.py::test_product_and_commutator_act_by_composition"),
+    ("capelli_lab.weyl.build_generic", "helpers.act",
+     "tests/test_weyl.py::test_generic_grid_is_x_and_alpha_d"),
     ("capelli_lab.weyl.verify_rep_relations", "helpers.rep_relations_by_commutators",
      "tests/test_weyl.py::test_rep_relations_match_commutator_oracle"),
     ("capelli_lab.weyl.verify_rep_identity", "helpers.build_rep",

@@ -459,6 +459,24 @@ def test_unbounded_scalar_input_refused_quickly(tmp_path, capsys, edit, message)
     assert message in capsys.readouterr().err
 
 
+def test_irrep_failing_with_a_norm_too_long_to_print_exits_3(tmp_path, capsys):
+    # each scalar is within the parse limit, but <chi,chi> = (1 + x^2) / 2
+    # has more digits than str(int) converts: the detail gives its size
+    digits = sys.get_int_max_str_digits() // 2 + 51
+    group_path, irrep_path = tmp_path / "c2.json", tmp_path / "big.json"
+    group_path.write_text(json.dumps(group_to_dict(catalog_group("C2"))))
+    irrep_path.write_text(json.dumps({
+        "label": "big", "group": "C2", "degree": 1, "conductor": 1,
+        "matrices": [[[{"conductor": 1, "coeffs": [v]}]] for v in ("1", "7" * digits)]}))
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--group-file", str(group_path), "--irrep-file", str(irrep_path),
+            "--checks", "closed-form")
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: irrep file fails validation:")
+    assert f"irreducibility (big): <chi,chi> = <{2 * digits}-digits>" in err
+
+
 def _crash(irrep_set):
     raise RuntimeError("boom")
 

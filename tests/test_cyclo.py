@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -306,3 +307,14 @@ def test_format_sum_rules():
     assert format_sum([(Fraction(-1, 2), "x"), (-3, "y"), (2, "z")]) == "-1/2*x - 3*y + 2*z"
     # a monomial is printed verbatim, whatever it holds
     assert format_sum([(1, "e"), (-1, "a + -b"), (2, "-c")]) == "e - a + -b + 2*-c"
+
+
+def test_format_sum_gives_the_size_of_an_integer_too_long_to_print():
+    # str(int) refuses more than the limit's digits; the sum still renders
+    limit = sys.get_int_max_str_digits()
+    longest, past = 10**limit - 1, 10**limit
+    assert format_sum([(longest, "x")]) == "9" * limit + "*x"
+    big = f"<{limit + 1}-digits>"
+    assert format_sum([(past, "x"), (-past, ""), (Fraction(-1, past), "y")]) == (
+        f"{big}*x - {big} - 1/{big}*y")
+    assert str(Cyclo(3, [Fraction(past, 7), Fraction(-past * 10)])) == f"{big}/7 - <{limit + 2}-digits>*ζ3"

@@ -72,11 +72,11 @@ def test_rowdet_is_coldet_of_transpose():
 
 def test_weyl_matrix_exhibits_order_sensitivity():
     # [[x, d], [x, d]] over one variable: coldet = xd - xd = 0 while
-    # rowdet = xd - dx = -alpha
+    # rowdet = xd - dx = -alpha, d scaled by alpha
     for alpha in (Fraction(1), Fraction(3)):
-        ctx = WeylContext(("1",), alpha)
+        ctx = WeylContext(("1",))
         x = WeylOp.x(ctx, 0)
-        d = WeylOp.d(ctx, 0)
+        d = WeylOp.d(ctx, 0, alpha)
         assert not coldet([[x, d], [x, d]])
         assert rowdet([[x, d], [x, d]]) == WeylOp.scalar(ctx, -alpha)
 

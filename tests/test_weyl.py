@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from capelli_lab import linalg, weyl
 from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS, run_checks
-from capelli_lab.cyclo import Cyclo, cyclo_degree
+from capelli_lab.cyclo import ConductorMismatch, Cyclo, cyclo_degree
 from capelli_lab.irreps import Irrep, IrrepSet
 from capelli_lab.ncdet import SizeLimit, capelli_zpoly, coldet
 from capelli_lab.weyl import (
@@ -37,13 +37,13 @@ from helpers import (
 ALPHAS = (Fraction(1), Fraction(3), Fraction(5, 2))
 
 
-def one_var_ctx(alpha=Fraction(1)):
-    return WeylContext(("1",), Fraction(alpha))
+def one_var_ctx():
+    return WeylContext(("1",))
 
 
 def apply(op, poly):
-    """op acting on a polynomial, d as alpha * d/dx: the test oracle."""
-    return act(op.terms, op.context.alpha, poly)
+    """op acting on a polynomial, d as d/dx: the test oracle."""
+    return act(op.terms, 1, poly)
 
 
 def rep_matrices(irrep):
@@ -93,9 +93,9 @@ def test_apply_identity_and_euler():
 
 
 def test_apply_respects_alpha():
-    ctx = one_var_ctx(Fraction(5, 2))
-    d = WeylOp.d(ctx, 0)
-    got = apply(d, {(1,): Cyclo.rational(1)})
+    # alpha is a scalar on d: the generic D at 5/2 takes x to 5/2
+    _, _, dm, _ = build_generic(1, Fraction(5, 2))
+    got = apply(dm[0][0], {(1,): Cyclo.rational(1)})
     assert got == {(0,): Cyclo.rational(Fraction(5, 2))}
 
 
@@ -110,6 +110,25 @@ def test_build_generic_m2_pi_entries():
     assert pi[1][1] == xm[0][1] * dm[0][1] + xm[1][1] * dm[1][1]
     assert pi[0][1] == xm[0][0] * dm[0][1] + xm[1][0] * dm[1][1]
     assert pi[1][0] == xm[0][1] * dm[0][0] + xm[1][1] * dm[1][0]
+
+
+@pytest.mark.parametrize("alpha", weyl.GENERIC_ALPHAS)
+@pytest.mark.parametrize("m", (1, 2))
+def test_generic_grid_is_x_and_alpha_d(m, alpha):
+    # the grid algebra at alpha inside the one at 1: each entry of D applied
+    # at 1 is its d applied at alpha by the independent evaluator, each entry
+    # of X is its x, and [D_ij, X_kl] = alpha * delta_ik * delta_jl
+    ctx, xm, dm, _ = build_generic(m, alpha)
+    n, one = m * m, Cyclo.one(1)
+    poly = {(2,) * n: one, tuple(range(1, n + 1)): one}
+    empty = (0,) * n
+    for i, j in product(range(m), repeat=2):
+        unit = tuple(int(v == i * m + j) for v in range(n))
+        assert act(dm[i][j].terms, 1, poly) == act({(empty, unit): one}, alpha, poly)
+        assert act(xm[i][j].terms, 1, poly) == act({(unit, empty): one}, alpha, poly)
+    for i, j, k, l in product(range(m), repeat=4):
+        expected = WeylOp.scalar(ctx, alpha if (i, j) == (k, l) else 0)
+        assert commutator(dm[i][j], xm[k][l]) == expected
 
 
 def test_build_generic_size_limit():
@@ -452,17 +471,9 @@ def test_context_mismatch_rejected():
         a * b
     with pytest.raises(ContextMismatch):
         commutator(a, b)
-
-
-def test_commutator_at_alpha_zero_stores_no_zero_terms():
-    # at alpha = 0 every k >= 1 reordering term vanishes, so d and x commute
-    ctx = WeylContext(("1", "2"), Fraction(0), 12)
-    zeta = Cyclo.zeta(12)
-    a = WeylOp.d(ctx, 0, zeta) * WeylOp.d(ctx, 1) + WeylOp.x(ctx, 1)
-    b = WeylOp.x(ctx, 0) * WeylOp.x(ctx, 1, 3) + WeylOp.d(ctx, 1, zeta)
-    got = commutator(a, b)
-    assert got.terms == {}
-    assert got == a * b - b * a
+    # a scalar is not promoted into the operator's field
+    with pytest.raises(ConductorMismatch):
+        a.scale(Cyclo.zeta(3))
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -490,7 +501,7 @@ def test_commutator_matches_oracle_on_rep_entries(name):
 
 @st.composite
 def small_ops(draw):
-    ctx = draw(st.shared(st.builds(lambda: WeylContext(("1", "2"), Fraction(1))), key="ctx"))
+    ctx = draw(st.shared(st.builds(lambda: WeylContext(("1", "2"))), key="ctx"))
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         xdeg = tuple(draw(st.integers(0, 2)) for _ in range(2))
@@ -516,17 +527,13 @@ def test_weyl_semantics_compose(a, b):
     assert via_product == via_steps
 
 
-ORACLE_ALPHAS = (Fraction(0), Fraction(1), Fraction(3), Fraction(5, 2))
-
-
 @st.composite
 def op_pairs(draw):
     """Two operators over one context of 1-4 variables, with degrees 0-3
     and coefficients anywhere in Q(zeta_N) for N in 1, 3, 4, 12."""
     size = draw(st.integers(1, 4))
     conductor = draw(st.sampled_from((1, 3, 4, 12)))
-    ctx = WeylContext(tuple(str(v + 1) for v in range(size)),
-                      draw(st.sampled_from(ORACLE_ALPHAS)), conductor)
+    ctx = WeylContext(tuple(str(v + 1) for v in range(size)), conductor)
     degree = st.tuples(*[st.integers(0, 3)] * size)
     basis = cyclo_degree(conductor)
     coeff = st.builds(
