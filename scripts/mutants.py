@@ -43,13 +43,22 @@ class Mutant:
 
 
 MUTANTS = (
-    # the Weyl relations as orthogonality sums of matrix coefficients
+    # the Weyl relations as orthogonality sums of matrix coefficients, with
+    # matrix(g^-1) read through the inverse table
     Mutant(
-        "conjugation-dropped", "src/capelli_lab/irreps.py",
-        "conj = [_conjugate(ys, conductor, rows) for ys in ys_values]",
-        "conj = ys_values",
+        "inverse-lookup-dropped", "src/capelli_lab/irreps.py",
+        "at_inverse = [[list(map(values.__getitem__, inverses)) for values in ys]"
+        " for ys in ys_values]",
+        "at_inverse = ys_values",
         ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",
          "tests/test_irreps.py::test_character_inner_product_matches_per_element_oracle"),
+    ),
+    Mutant(
+        "orthogonality-untransposed", "src/capelli_lab/irreps.py",
+        "transposed = [coords[l][k] for k, l in product(range(m), repeat=2)]",
+        "transposed = [coords[k][l] for k, l in product(range(m), repeat=2)]",
+        ("tests/test_weyl.py::test_rep_relations_match_commutator_oracle",
+         "tests/test_weyl.py::test_rep_relation_mutants_fail_where_expected"),
     ),
     Mutant(
         "relation-target-without-denominator", "src/capelli_lab/irreps.py",
@@ -255,7 +264,6 @@ MUTANTS = (
         "if _mobius(d) == 1:",
         ("tests/test_cyclo.py::test_cyclotomic_polynomial_against_divide_out_loop",),
     ),
-    # unitarity over every pair of rows against the per-pair check
     # irreducibility through the character inner product, against the
     # per-element sum
     Mutant(
@@ -263,12 +271,6 @@ MUTANTS = (
         "irrep.label, norm == 1,",
         "irrep.label, norm != 0,",
         ("tests/test_irreps.py::test_reducible_character_rejected",),
-    ),
-    Mutant(
-        "unitarity-diagonal-pairs-only", "src/capelli_lab/irreps.py",
-        "for j in range(i, m):",
-        "for j in range(i, i + 1):",
-        ("tests/test_irreps.py::test_validate_matches_per_pair_oracle",),
     ),
     # the one term formatter behind every rendered value
     Mutant(

@@ -3,8 +3,10 @@ verification suites, emit JSON reports.
 
 Exit codes: 0 all requested checks free of failures (measured outcomes
 count as non-failures), 1 some check failed, 2 unresolved group/irrep
-selector, unknown check name, or an --at that is malformed or too long
-to print the value at, 3 invalid user-supplied irrep.
+selector, unknown check name, or a malformed --at, 3 invalid
+user-supplied irrep.  An --at is bounded by the integer parse limit of
+the scalar grammar; a value whose integers are too long for str prints
+them as <k-digits>.
 """
 
 from __future__ import annotations
@@ -204,21 +206,6 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _check_at_renders(at, degree):
-    """Exit 2 unless C(at) can be printed: its integers have about degree
-    times the digits of at, plus those of C's coefficients, and str(int)
-    refuses more than sys.get_int_max_str_digits() digits (0: no limit).
-    Accepting at most limit // (degree + 1) digits leaves at least as many
-    for the coefficients."""
-    limit = sys.get_int_max_str_digits()
-    digits = max(len(str(abs(at.numerator))), len(str(at.denominator)))
-    if limit and digits > limit // (degree + 1):
-        print(f"error: --at has {digits} digits; at degree {degree} at most "
-              f"{limit // (degree + 1)} can be rendered within the {limit}-digit "
-              f"limit of int to str", file=sys.stderr)
-        sys.exit(2)
-
-
 def cmd_capelli(args) -> int:
     max_order = _max_order()
     try:  # the scalar-file coefficient grammar, whose integer parse bounds the digits
@@ -229,8 +216,6 @@ def cmd_capelli(args) -> int:
         sys.exit(2)
     group = resolve_group(args, max_order)
     irrep_set = resolve_irreps(args, group)
-    if at is not None:
-        _check_at_renders(at, max(irrep.degree for irrep in irrep_set.irreps))
     payload = []
     for irrep in irrep_set.irreps:
         poly = capelli_element(irrep)

@@ -10,10 +10,9 @@ judgement call.
 Conductor 1 embeds the rationals (Phi_1 = x - 1, so zeta_1 = 1).
 
 The substitutions zeta_N -> zeta_M^k share one kernel over the power
-table of M: complex conjugation (M = N, k = N - 1), promotion into a
-larger field (M a multiple of N, k = M/N) and the Galois maps sigma_k
-(M = N, k coprime to N), whose product gives the field norm and with it
-the inverse.  Serialized scalars are read under a fixed bound on the
+table of M: promotion into a larger field (M a multiple of N, k = M/N)
+and the Galois maps sigma_k (M = N, k coprime to N), whose product gives
+the field norm and with it the inverse.  Serialized scalars are read under a fixed bound on the
 conductor, checked before any Phi or power table is built.
 """
 
@@ -305,13 +304,6 @@ class Cyclo:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def conjugate(self) -> "Cyclo":
-        """Complex conjugation: the field map zeta_N -> zeta_N^(N-1)."""
-        n = self.conductor
-        if n <= 2:
-            return self
-        return _make(n, _substitute(self.num, n - 1, n), self.den)
 
     def promote(self, conductor: int) -> "Cyclo":
         """Reinterpret in Q(zeta_M) for a multiple M via zeta_N = zeta_M^(M/N)."""

@@ -1,14 +1,16 @@
-"""Unitary matrix irreps with cyclotomic entries.
+"""Matrix irreps with cyclotomic entries, in any matrix form.
 
 An irrep here is the full table g -> matrix(g).  induced_irrep builds
 one as Ind_H^G chi from a linear character chi of a subgroup H, by table
 lookups; every catalog irrep is built that way.  Validation checks the
 homomorphism property on every pair (g, s) with s in the group's
-generating set, which implies it on every pair; unitarity on every
-element; and irreducibility through the character inner product.
-Complete sets are additionally checked for the degree-square sum and
-pairwise character orthogonality.  Nothing is ever repaired: invalid
-input is rejected.
+generating set, which implies it on every pair, and irreducibility
+through the character inner product.  No matrix form is required: none
+of the identities checked downstream needs a unitary matrix(g), since
+every sum over the group pairs matrix(g) with matrix(g^-1), which a
+homomorphism determines.  Complete sets are additionally checked for the
+degree-square sum and pairwise character orthogonality.  Nothing is ever
+repaired: invalid input is rejected.
 
 Every sum over the group is taken here, on one integer layout that no
 other module sees: validation, the character inner product and the
@@ -16,6 +18,7 @@ Schur orthogonality sums of matrix coefficients (orthogonality_witness,
 behind weyl.verify_rep_relations).  With D the lcm of the entry
 denominators, entry (i, j) becomes one list over g per power-basis index
 t < phi(N), holding the numerators of D * matrix(g)[i][j] (_coordinates).
+The values at g^-1 are the same lists permuted through group.inverses.
 Every check is then an equality of integer lists built elementwise by
 one product kernel, _products, which sums products of coordinate lists
 and reduces them through the power table once, with no Cyclo object per
@@ -151,7 +154,7 @@ def induced_irrep(group, label, subgroup_generators, turns, cosets) -> Irrep:
 
 
 def validate(irrep: Irrep) -> Report:
-    """Identity image, homomorphism, unitarity everywhere, irreducibility.
+    """Identity image, homomorphism, irreducibility; any matrix form.
 
     The homomorphism property is checked as matrix(g*s) == matrix(g) *
     matrix(s) for every g and every s in group.generators.  That is exact:
@@ -166,12 +169,11 @@ def validate(irrep: Irrep) -> Report:
     are.  With D the common denominator, matrix(g*s) == matrix(g)
     matrix(s) is D * A_ij[g*s] == sum over k of A_ik[g] * D*matrix(s)_kj,
     where D*matrix(s)_kj enters as one constant list per coordinate.
-    Unitarity is sum over k of A_ik[g] * conj(A_jk[g]) == D^2 delta_ij,
-    with conjugation the substitution zeta -> zeta^-1.  Irreducibility
-    is the character inner product, on the sums of the diagonal lists.
-    For each s in generator order the failing pair reported is the one
-    with the smallest g, and unitarity reports the smallest failing g:
-    the witnesses of the pair-by-pair matrix check.
+    Irreducibility is the character inner product, on the sums of the
+    diagonal lists.  For each s in generator order the failing pair
+    reported is the one with the smallest g: the witness of the
+    pair-by-pair matrix check.  No matrix form is required: a
+    homomorphism need not be unitary.
     """
     report = Report()
     group = irrep.group
@@ -204,19 +206,7 @@ def validate(irrep: Irrep) -> Report:
     report.add("homomorphism", irrep.label, witness is None,
                f"fails at pair {witness}" if witness else "")
 
-    conj = [[_conjugate(coords[j][k], conductor, rows) for k in range(m)] for j in range(m)]
-    first = n
-    for i in range(m):
-        for j in range(i, m):  # (matrix(g) matrix(g)^*)_ji is the conjugate of the ij entry
-            products = _products([(coords[i][k], conj[j][k]) for k in range(m)], rows)
-            for t, values in enumerate(products):
-                target = den * den if i == j and t == 0 else 0
-                first = min(first, _first_difference(values, [target] * n))
-    witness = names[first] if first < n else None
-    report.add("unitarity", irrep.label, witness is None,
-               f"fails at {witness}" if witness else "")
-
-    norm = _character_inner_product(coords, den, coords, den, conductor, n)
+    norm = _character_inner_product(coords, den, coords, den, group, conductor)
     report.add("irreducibility", irrep.label, norm == 1, f"<chi,chi> = {norm}")
     return report
 
@@ -264,16 +254,6 @@ def _products(pairs, rows):
     return _zero_filled(out, len(pairs[0][0][0]))
 
 
-def _conjugate(lists, conductor, rows):
-    """The coordinate lists of zeta -> zeta^-1 applied to each value."""
-    out = [None] * len(rows[0])
-    for u, values in enumerate(lists):
-        for t, w in enumerate(rows[-u % conductor]):
-            if w:
-                out[t] = _add(out[t], _scale(values, w))
-    return _zero_filled(out, len(lists[0]))
-
-
 def _zero_filled(lists, n):
     # None stands for the zero list of length n
     return [values if values is not None else [0] * n for values in lists]
@@ -296,54 +276,59 @@ def _first_difference(values, expected):
     return next(g for g, (x, y) in enumerate(zip(values, expected)) if x != y)
 
 
-def _conjugate_sums(xs_values, ys_values, conductor):
+def _inverse_sums(xs_values, ys_values, inverses, conductor):
     """[[S(x, y) for y in ys_values] for x in xs_values], with S(x, y) the
-    power-basis coordinates of the sum over g of x(g) * conj(y(g)).  Each
+    power-basis coordinates of the sum over g of x(g) * y(g^-1).  Each
     value is a function on the group as integer coordinate lists (per
-    power-basis index, the list over g), as _coordinates gives them;
-    conj is the substitution zeta -> zeta^-1, made once per y."""
+    power-basis index, the list over g), as _coordinates gives them; y at
+    g^-1 is each list permuted through the inverse table, once per y."""
     rows = power_table(conductor)
-    conj = [_conjugate(ys, conductor, rows) for ys in ys_values]
-    return [[[sum(values) for values in _products([(xs, cs)], rows)] for cs in conj]
+    at_inverse = [[list(map(values.__getitem__, inverses)) for values in ys] for ys in ys_values]
+    return [[[sum(values) for values in _products([(xs, ys)], rows)] for ys in at_inverse]
             for xs in xs_values]
 
 
-def _character_inner_product(xs, dx, ys, dy, conductor, order):
-    """The character inner product of the irreps whose _coordinates are
-    (xs, dx) and (ys, dy): each character's lists are the sums of the
-    diagonal entries' lists."""
+def _character_inner_product(xs, dx, ys, dy, group, conductor):
+    """The character inner product of the irreps of `group` whose
+    _coordinates are (xs, dx) and (ys, dy): each character's lists are
+    the sums of the diagonal entries' lists."""
     def trace(coords):
         diagonal = (coords[i][i] for i in range(len(coords)))
         return [list(map(sum, zip(*values))) for values in zip(*diagonal)]
 
-    [[total]] = _conjugate_sums([trace(xs)], [trace(ys)], conductor)
-    return Cyclo(conductor, [Fraction(v, dx * dy * order) for v in total])
+    [[total]] = _inverse_sums([trace(xs)], [trace(ys)], group.inverses, conductor)
+    return Cyclo(conductor, [Fraction(v, dx * dy * group.order) for v in total])
 
 
 def character_inner_product(a: Irrep, b: Irrep) -> Cyclo:
-    """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g)), summed over g on
+    """(1/|G|) * sum over g of chi_a(g) * chi_b(g^-1), summed over g on
     the integer coordinate lists of the two irreps; ConductorMismatch
-    unless a and b share one conductor."""
+    unless a and b share one conductor.  chi_b(g^-1) is the complex
+    conjugate of chi_b(g) for every representation, unitary or not."""
     if a.conductor != b.conductor:
         raise ConductorMismatch(f"irreps {a.label!r} and {b.label!r} in conductors "
                                 f"{a.conductor} and {b.conductor}")
     xs, dx = _coordinates(a)
     ys, dy = (xs, dx) if b is a else _coordinates(b)
-    return _character_inner_product(xs, dx, ys, dy, a.conductor, a.group.order)
+    return _character_inner_product(xs, dx, ys, dy, a.group, a.conductor)
 
 
 def orthogonality_witness(irrep: Irrep):
     """The first (i, j, k, l), in lexicographic order, at which the Schur
-    orthogonality sum over g of matrix(g)_ij * conj(matrix(g)_kl) differs
-    from alpha * delta_ik * delta_jl, or None when every sum holds (Serre,
-    Linear Representations of Finite Groups, 2.2).  The m^4 sums are taken
-    on the lists of _coordinates, every entry scaled by the common
-    denominator D, so each is an integer comparison: coordinate 0 equals
+    orthogonality sum over g of matrix(g)_ij * matrix(g^-1)_lk differs
+    from alpha * delta_ik * delta_jl, or None when every sum holds.  That
+    is Serre's sum of matrix(g)_ij * matrix(g^-1)_kl = alpha * delta_il *
+    delta_jk with k and l swapped, and it holds in any matrix form (Linear
+    Representations of Finite Groups, 2.2); for a unitary irrep
+    matrix(g^-1)_lk is conj(matrix(g)_kl).  The m^4 sums are taken on the
+    lists of _coordinates, every entry scaled by the common denominator D,
+    so each is an integer comparison: coordinate 0 equals
     alpha * D^2 * delta_ik * delta_jl and every other coordinate is 0."""
     m, alpha = irrep.degree, irrep.alpha
     coords, den = _coordinates(irrep)
-    entries = [coords[i][j] for i in range(m) for j in range(m)]
-    sums = _conjugate_sums(entries, entries, irrep.conductor)
+    entries = [coords[i][j] for i, j in product(range(m), repeat=2)]
+    transposed = [coords[l][k] for k, l in product(range(m), repeat=2)]
+    sums = _inverse_sums(entries, transposed, irrep.group.inverses, irrep.conductor)
     zeros = [0] * (len(sums[0][0]) - 1)
     for i, j, k, l in product(range(m), repeat=4):
         target = alpha * den * den if (i, j) == (k, l) else 0

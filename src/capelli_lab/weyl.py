@@ -21,9 +21,10 @@ Every operator the package builds lives on an m x m grid of formal
 entries (`build_generic`).  The grid algebra at alpha, [d_ij, x_kl] =
 alpha * delta_ik * delta_jl, is not a second algebra: alpha is a scalar
 on d, and x and alpha * d generate it inside this one.  An irrep's X and
-D are combinations of one variable per group element, and satisfy the
-grid relations with alpha = group order / degree; those relations are
-scalar orthogonality sums of its matrix coefficients, which
+D are combinations of one variable per group element, X_kl of the
+matrix(g^-1)_lk and D_ij of the matrix(g)_ij, and satisfy the grid
+relations with alpha = group order / degree in any matrix form; those
+relations are scalar orthogonality sums of its matrix coefficients, which
 `irreps.orthogonality_witness` checks without building an operator
 (`verify_rep_relations`).  Its Pi relations and Capelli identity are the
 generic ones at (m, alpha = |G|/m), carried over by the
@@ -291,14 +292,16 @@ def transpose_product(ctx, xm, dm):
 def verify_rep_relations(irrep: Irrep) -> Report:
     """[X,X] = 0, [D,D] = 0, [D_ij, X_kl] = (|G|/degree) delta delta.
 
-    X_kl = sum over g of conj(matrix(g)_kl) * x_g and D_ij = sum over g of
-    matrix(g)_ij * d_g, with one variable per group element.  No operator
-    is built.  The x_g commute with each other, and so do the d_g, so X
-    entries commute with X entries and D entries with D entries whatever
-    the matrices: the first two rows hold by construction.  [d_g, x_h] = delta_gh makes [D_ij, X_kl] the scalar
-    sum over g of matrix(g)_ij * conj(matrix(g)_kl), the orthogonality
-    sum of matrix coefficients, which `irreps.orthogonality_witness`
-    checks; the witness is its first failing (i, j, k, l).
+    X_kl = sum over g of matrix(g^-1)_lk * x_g and D_ij = sum over g of
+    matrix(g)_ij * d_g, with one variable per group element; for a unitary
+    irrep matrix(g^-1)_lk is conj(matrix(g)_kl), and no matrix form is
+    required.  No operator is built.  The x_g commute with each other, and
+    so do the d_g, so X entries commute with X entries and D entries with D
+    entries whatever the matrices: the first two rows hold by
+    construction.  [d_g, x_h] = delta_gh makes [D_ij, X_kl] the scalar sum
+    over g of matrix(g)_ij * matrix(g^-1)_lk, the orthogonality sum of
+    matrix coefficients, which `irreps.orthogonality_witness` checks; the
+    witness is its first failing (i, j, k, l).
     """
     report = Report()
     witness = orthogonality_witness(irrep)

@@ -130,12 +130,6 @@ def cyclotomic_by_division(n):
     return tuple(num)
 
 
-def zeta_power_coeffs(conductor, power, phi):
-    """Coefficients of zeta^power in the power basis mod phi."""
-    mono = [0] * (power % conductor) + [1]
-    return reduce_mod(mono, phi)
-
-
 # -- naive group-algebra convolution ----------------------------------------------
 
 
@@ -497,21 +491,42 @@ def catalog_by_generators(name):
     raise KeyError(name)
 
 
+def conjugated_by(irrep, p):
+    """P * matrix(g) * P^-1 for every g, P an invertible rational matrix;
+    not validated."""
+    p = [[Cyclo.rational(v, irrep.conductor) for v in row] for row in p]
+    p_inv = linalg.mat_inverse(p)
+    return Irrep(irrep.label, irrep.group, irrep.degree, tuple(
+        tuple(map(tuple, matrix_product(matrix_product(p, mat), p_inv)))
+        for mat in irrep.matrices))
+
+
+def non_unitary_conjugate(irrep):
+    """The irrep conjugated by a P that is rational, upper triangular and,
+    from degree 2, not unitary: the same irrep in another matrix form,
+    whose entries gain denominators."""
+    m = irrep.degree
+    return conjugated_by(irrep, [[Fraction(i + 2 * j + 1, 2) if i <= j else 0 for j in range(m)]
+                                 for i in range(m)])
+
+
 # -- irrep validation pair by pair ----------------------------------------------------------
-
-
-def mat_conj_transpose(a):
-    return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a[0]))]
 
 
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def inverses_by_search(group):
+    """Per element g, the h with g * h = e, found by scanning g's row of
+    the table rather than read off group.inverses."""
+    return [group.table[g].index(group.identity) for g in range(group.order)]
+
+
 def validate_per_pair(irrep):
     """irreps.validate as one Cyclo matrix product per pair (g, s), s a
-    generator, and per element for unitarity: the same report, witnesses
-    included, reached without the coordinate lists."""
+    generator: the same report, witnesses included, reached without the
+    coordinate lists."""
     report = Report()
     group = irrep.group
     mats = irrep.matrices
@@ -531,26 +546,18 @@ def validate_per_pair(irrep):
     report.add("homomorphism", irrep.label, witness is None,
                f"fails at pair {witness}" if witness else "")
 
-    witness = None
-    for g in range(n):
-        if not mat_eq(matrix_product(mats[g], mat_conj_transpose(mats[g])), ident):
-            witness = group.element_names[g]
-            break
-    report.add("unitarity", irrep.label, witness is None,
-               f"fails at {witness}" if witness else "")
-
     norm = character_inner_product_per_element(irrep, irrep)
     report.add("irreducibility", irrep.label, norm == 1, f"<chi,chi> = {norm}")
     return report
 
 
 def character_inner_product_per_element(a, b):
-    """(1/|G|) * sum over g of chi_a(g) * conj(chi_b(g)), one Cyclo product per g."""
+    """(1/|G|) * sum over g of chi_a(g) * chi_b(g^-1), one Cyclo product per g."""
     group = a.group
     target = math.lcm(a.conductor, b.conductor)
     acc = Cyclo.zero(target)
-    for g in range(group.order):
-        acc = acc + a.character(g).promote(target) * b.character(g).promote(target).conjugate()
+    for g, h in enumerate(inverses_by_search(group)):
+        acc = acc + a.character(g).promote(target) * b.character(h).promote(target)
     return Fraction(1, group.order) * acc
 
 
@@ -630,21 +637,22 @@ def det_equalities_direct(m):
 
 
 def build_rep(irrep):
-    """One variable per group element, [d_g, x_h] = delta_gh; X uses
-    conjugated matrix entries, D the plain ones."""
+    """One variable per group element, [d_g, x_h] = delta_gh;
+    X_ij = sum over g of matrix(g^-1)_ji * x_g (for a unitary irrep, the
+    conjugated entries) and D_ij = sum over g of matrix(g)_ij * d_g."""
     group = irrep.group
     ctx = WeylContext(tuple(group.element_names), irrep.conductor)
     m = irrep.degree
     xm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
     dm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
-    for g in range(group.order):
-        mat = irrep.matrices[g]
+    for g, h in enumerate(inverses_by_search(group)):
+        mat, at_inverse = irrep.matrices[g], irrep.matrices[h]
         for i in range(m):
             for j in range(m):
-                v = mat[i][j]
-                if v:
-                    xm[i][j] = xm[i][j] + WeylOp.x(ctx, g, v.conjugate())
-                    dm[i][j] = dm[i][j] + WeylOp.d(ctx, g, v)
+                if at_inverse[j][i]:
+                    xm[i][j] = xm[i][j] + WeylOp.x(ctx, g, at_inverse[j][i])
+                if mat[i][j]:
+                    dm[i][j] = dm[i][j] + WeylOp.d(ctx, g, mat[i][j])
     return ctx, xm, dm
 
 

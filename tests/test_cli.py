@@ -11,10 +11,10 @@ import pytest
 
 from capelli_lab import cli, groups
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
-from capelli_lab.cli import CHECKS, main
+from capelli_lab.cli import CHECKS, main, run_checks
 from capelli_lab.groups import group_to_dict, load_group
-from capelli_lab.irreps import irrep_to_dict, load_irrep
-from helpers import validate_per_pair
+from capelli_lab.irreps import IrrepSet, irrep_to_dict, load_irrep
+from helpers import non_unitary_conjugate, validate_per_pair
 
 VALID_STATUSES = {"pass", "fail", "measured", "skipped"}
 
@@ -70,22 +70,28 @@ def test_capelli_at_reads_the_coefficient_grammar(capsys):
 
 
 def test_capelli_at_too_long_to_render_exits_2(capsys):
-    # a 3,000-digit integer parses, but the degree-2 value squares it past
-    # str()'s digit limit; before the bound this was a traceback, exit 1
+    # a 3,000-digit integer parses, and the degree-2 value squares it past
+    # str()'s digit limit: that integer prints as its digit count, exit 0.
+    # Only an --at past the integer parse limit itself exits 2.
+    code, out, _ = run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "7" * 3000)
+    assert code == 0
+    assert out.startswith(f"C^std at z={'7' * 3000} = <6000-digits>*e + {'7' * 3000}*(123)")
+    too_long = "7" * (sys.get_int_max_str_digits() + 1)
     with pytest.raises(SystemExit) as exc:
-        run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "7" * 3000)
+        run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", too_long)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("error: --at has 3000 digits")
+    assert "is not a rational" in capsys.readouterr().err
 
 
 def test_capelli_at_just_under_the_render_bound(capsys):
+    # at and just past limit // (degree + 1) digits the degree-2 value's
+    # integers stay within str()'s limit: each prints in full, exit 0
     bound = sys.get_int_max_str_digits() // 3  # degree 2
-    code, out, _ = run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "7" * bound)
-    assert code == 0
-    assert out.startswith(f"C^std at z={'7' * bound} = ")
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", "1/" + "7" * (bound + 1))
-    assert exc.value.code == 2
+    for at in ("7" * bound, "1/" + "7" * (bound + 1)):
+        code, out, _ = run(capsys, "capelli", "--group", "S3", "--irrep", "std", "--at", at)
+        assert code == 0
+        assert out.startswith(f"C^std at z={at} = ")
+        assert "-digits>" not in out
 
 
 def test_capelli_json_payload(capsys):
@@ -212,6 +218,41 @@ def test_verify_group_file_with_irrep_file(tmp_path, capsys):
                        "--irrep-file", str(irrep_path), "--checks", "closed-form")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_non_unitary_irrep_file_is_accepted(tmp_path, capsys):
+    # S3/std conjugated by a rational upper-triangular P is a homomorphism
+    # in a non-unitary form: it validates, and its Weyl identities hold
+    group = catalog_group("S3")
+    std = catalog_irreps("S3").by_label("std")
+    group_path, irrep_path = tmp_path / "s3.json", tmp_path / "std.json"
+    group_path.write_text(json.dumps(group_to_dict(group)))
+    irrep_path.write_text(json.dumps(irrep_to_dict(non_unitary_conjugate(std))))
+    code, out, _ = run(capsys, "verify", "--group-file", str(group_path),
+                       "--irrep-file", str(irrep_path),
+                       "--checks", "closed-form,weyl-relations,weyl-capelli")
+    assert code == 0
+    assert "0 failures" in out
+
+
+# on S4 these three take most of its time once the entries have denominators
+SLOW_IN_NON_UNITARY_FORM = {"S4": {"schur", "central", "det-variants"}}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_non_unitary_forms_give_the_catalog_rows(name):
+    # every irrep of the set conjugated by a non-unitary rational P: the
+    # same (name, check, irrep, status) rows, and on pass rows the same
+    # detail (a measured row may print values of the matrix form)
+    irrep_set = catalog_irreps(name)
+    conjugated = IrrepSet(irrep_set.group, tuple(map(non_unitary_conjugate, irrep_set.irreps)))
+    checks = [c for c in CHECKS if c not in SLOW_IN_NON_UNITARY_FORM.get(name, ())]
+
+    def rows(irreps):
+        return [{**row, "detail": row["detail"] if row["status"] == "pass" else ""}
+                for _, _, rows in run_checks(irreps, checks) for row in rows]
+
+    assert rows(conjugated) == rows(irrep_set)
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -15,7 +15,7 @@ from capelli_lab.cyclo import (
     cyclotomic_polynomial,
     format_sum,
 )
-from helpers import cyclotomic_by_division, poly_divmod, poly_mul, reduce_mod, zeta_power_coeffs
+from helpers import cyclotomic_by_division, poly_divmod, poly_mul, reduce_mod
 
 
 def test_cyclotomic_polynomial_first_cases():
@@ -105,24 +105,6 @@ def test_inverse_generic_element():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Cyclo.zero(5).inverse()
-
-
-def test_conjugate_fixes_rationals():
-    assert Cyclo.rational(Fraction(3, 7), 5).conjugate() == Fraction(3, 7)
-
-
-def test_conjugate_of_zeta4():
-    assert Cyclo.zeta(4).conjugate() == -Cyclo.zeta(4)
-
-
-def test_conjugate_against_substitution_oracle():
-    # conj(zeta5 + zeta5^2) = zeta5^4 + zeta5^3 in the Phi5 basis
-    a = Cyclo.zeta(5) + Cyclo.zeta(5, 2)
-    phi5 = list(cyclotomic_polynomial(5))
-    expected = [
-        x + y for x, y in zip(zeta_power_coeffs(5, 4, phi5), zeta_power_coeffs(5, 3, phi5))
-    ]
-    assert a.conjugate().coefficients() == expected
 
 
 def test_promote_rational():
@@ -263,20 +245,6 @@ def test_multiplicative_inverse(a):
     if a:
         assert a * a.inverse() == 1
         assert a.inverse().inverse() == a
-
-
-@given(cyclo_triples())
-def test_conjugate_is_ring_homomorphism_and_involution(triple):
-    a, b, _ = triple
-    assert a.conjugate().conjugate() == a
-    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-
-@given(cyclos())
-def test_norm_is_self_conjugate(a):
-    norm = a * a.conjugate()
-    assert norm.conjugate() == norm
 
 
 @given(cyclo_triples(), st.sampled_from((2, 3, 4)))

@@ -26,10 +26,10 @@ from helpers import (
     brute_homomorphism,
     character_inner_product_per_element,
     leibniz_det,
-    mat_conj_transpose,
     mat_eq,
     matrix_product,
     naive_convolve,
+    non_unitary_conjugate,
     validate_per_pair,
 )
 
@@ -58,7 +58,8 @@ def test_validate_catches_broken_homomorphism():
 
 def test_validate_catches_non_unitary():
     # s -> [[1, 1], [0, -1]] squares to the identity, so it is a genuine
-    # matrix rep of C2, just not a unitary (or irreducible) one
+    # matrix rep of C2 in a non-unitary form; unitarity is not required,
+    # and it is refused as reducible
     c2 = catalog_group("C2")
     one = Cyclo.one(2)
     zero = Cyclo.zero(2)
@@ -67,10 +68,10 @@ def test_validate_catches_non_unitary():
         ((one, one), (zero, -one)),
     )
     report = validate(Irrep("shear", c2, 2, mats))
-    failed = {r.check for r in report.failures()}
-    assert "unitarity" in failed
-    assert "homomorphism" not in failed
-    assert "irreducibility" in failed
+    assert [r.check for r in report.results] == ["identity-image", "homomorphism",
+                                                 "irreducibility"]
+    assert [(r.check, r.detail) for r in report.failures()] == [("irreducibility",
+                                                                 "<chi,chi> = 2")]
 
 
 def homomorphism_cases(irrep):
@@ -147,8 +148,8 @@ def _copy_first_row_down(block):
 def mutants(irrep):
     """At each element g: the matrices of g and the next element swapped,
     the first nonzero entry negated, the bottom-left entry plus 1, and
-    from degree 2 the first row copied into the second (rows of norm one
-    that are not orthogonal, which a monomial irrep never has otherwise)."""
+    from degree 2 the first row copied into the second (a singular
+    matrix, which no representation has)."""
     mats = irrep.matrices
     n = len(mats)
     for g in range(n):
@@ -195,8 +196,8 @@ small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 def presented_irreps(draw):
     """A catalog irrep in one of ORACLE_CONDUCTORS, degree >= 2 for half
     the draws, conjugated by an invertible rational upper-triangular P (not
-    unitary in general, so the entries gain denominators and unitarity
-    fails at some g), then possibly mutated: two matrices swapped, or one
+    unitary in general, so the entries gain denominators, and the result
+    still validates), then possibly mutated: two matrices swapped, or one
     entry scaled by a rational."""
     irrep, n = draw(st.sampled_from(PRESENTATIONS)
                     | st.sampled_from([(r, n) for r, n in PRESENTATIONS if r.degree >= 2]))
@@ -238,20 +239,20 @@ def test_validate_matches_per_pair_oracle_across_conductors(case):
 
 
 def test_validate_reports_non_unitary_conjugate_at_first_failing_element():
-    # P = [[1, 1/2], [0, 2]] conjugates S3/std to a homomorphism with
-    # denominators; the first element whose image is not unitary is named
+    # P = [[1/2, 3/2], [0, 1]] conjugates S3/std to a non-unitary form with
+    # denominators, which validates; with one entry of a generator's matrix
+    # negated, the failing pair named is the pair-by-pair check's first
     std = catalog_irreps("S3").by_label("std")
-    n = std.conductor
-    p = [[Cyclo.rational(1, n), Cyclo.rational(Fraction(1, 2), n)],
-         [Cyclo.zero(n), Cyclo.rational(2, n)]]
-    p_inv = linalg.mat_inverse(p)
-    mats = tuple(matrix_product(matrix_product(p, mat), p_inv) for mat in std.matrices)
-    report = validate(Irrep("conj", std.group, 2, mats))
-    first = next(g for g, mat in enumerate(mats)
-                 if not mat_eq(matrix_product(mat, mat_conj_transpose(mat)),
-                               linalg.identity_matrix(2, n)))
-    assert [r.check for r in report.failures()] == ["unitarity"]
-    assert report.failures()[0].detail == f"fails at {std.group.element_names[first]}"
+    conj = non_unitary_conjugate(std)
+    assert max(v.den for mat in conj.matrices for row in mat for v in row) > 1
+    report = validate(conj)
+    assert report.ok, str(report)
+    assert report_rows(report) == report_rows(validate_per_pair(conj))
+    broken = Irrep("conj", std.group, 2,
+                   _with_block(conj.matrices, std.group.generators[-1], _negate_first_nonzero))
+    rows = report_rows(validate(broken))
+    assert rows == report_rows(validate_per_pair(broken))
+    assert ("homomorphism", "fail") in [(check, status) for check, _, status, _ in rows]
 
 
 def test_validate_refuses_mixed_conductors():

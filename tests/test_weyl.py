@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capelli_lab import linalg, weyl
+from capelli_lab import weyl
 from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS, run_checks
 from capelli_lab.cyclo import ConductorMismatch, Cyclo, cyclo_degree
@@ -29,8 +29,9 @@ from capelli_lab.weyl import (
 from helpers import (
     act,
     build_rep,
+    conjugated_by,
     det_equalities_direct,
-    matrix_product,
+    non_unitary_conjugate,
     rep_relations_by_commutators,
 )
 
@@ -146,6 +147,9 @@ def test_build_rep_trivial_and_sign():
 
 
 def test_build_rep_standard_uses_conjugated_entries():
+    # X_ij takes matrix(g^-1)_ji at x_g.  S3/std is unitary with entries 0
+    # or roots of unity, so that is conj(matrix(g)_ij), which is 1/v for a
+    # root of unity v
     std = catalog_irreps("S3").by_label("std")
     ctx, xm, dm = build_rep(std)
     for g in range(std.group.order):
@@ -154,7 +158,9 @@ def test_build_rep_standard_uses_conjugated_entries():
                 v = std.matrices[g][i][j]
                 xkey = (tuple(1 if k == g else 0 for k in range(6)), (0,) * 6)
                 dkey = ((0,) * 6, tuple(1 if k == g else 0 for k in range(6)))
-                assert xm[i][j].terms.get(xkey, Cyclo.zero(6)) == v.conjugate()
+                assert xm[i][j].terms.get(xkey, Cyclo.zero(6)) == (v.inverse() if v else v)
+                assert xm[i][j].terms.get(xkey, Cyclo.zero(6)) == \
+                    std.matrices[std.group.inverses[g]][j][i]
                 assert dm[i][j].terms.get(dkey, Cyclo.zero(6)) == v
 
 
@@ -169,14 +175,6 @@ def test_rep_relations_trivial_irrep_gives_group_order():
 def test_rep_relations_standard_irreps():
     assert verify_rep_relations(catalog_irreps("S3").by_label("std")).ok  # alpha 3
     assert verify_rep_relations(catalog_irreps("Q8").by_label("std")).ok  # alpha 4
-
-
-def _conjugated(irrep, p):
-    """P * matrix(g) * P^-1 for every g, P a rational matrix; not validated."""
-    p = [[Cyclo.rational(v, irrep.conductor) for v in row] for row in p]
-    p_inv = linalg.mat_inverse(p)
-    return _with_matrices(irrep, [matrix_product(matrix_product(p, mat), p_inv)
-                                  for mat in irrep.matrices])
 
 
 def _with_matrices(irrep, matrices):
@@ -199,26 +197,19 @@ def _two_swapped(irrep):
     return _with_matrices(irrep, mats)
 
 
-def _upper_triangular(irrep):
-    # P * rho * P^-1 with P rational, upper triangular and not unitary
-    m = irrep.degree
-    return _conjugated(irrep, [[Fraction(i + 2 * j + 1, 2) if i <= j else 0 for j in range(m)]
-                               for i in range(m)])
-
-
 def _rotated(irrep):
-    # conjugation by a rational rotation in the first two coordinates is
-    # unitary, so the relations still hold, now with entry denominators 25
+    # conjugation by a rational rotation in the first two coordinates, a
+    # unitary form whose entries have denominators 25
     m = irrep.degree
     q = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     if m > 1:
         q[0][0], q[0][1], q[1][0], q[1][1] = (Fraction(3, 5), Fraction(-4, 5),
                                               Fraction(4, 5), Fraction(3, 5))
-    return _conjugated(irrep, q)
+    return conjugated_by(irrep, q)
 
 
 MUTANTS = {"one-entry-x3": _one_entry_scaled, "two-swapped": _two_swapped,
-           "upper-triangular": _upper_triangular, "rotated": _rotated}
+           "upper-triangular": non_unitary_conjugate, "rotated": _rotated}
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -237,9 +228,9 @@ def test_rep_relation_mutants_fail_where_expected():
     std = catalog_irreps("S3").by_label("std")
     failing = {mutant: [(r.check, r.detail) for r in verify_rep_relations(make(std)).failures()]
                for mutant, make in MUTANTS.items()}
-    assert failing["two-swapped"] == failing["rotated"] == []
+    # a non-unitary form of the irrep still satisfies the relations
+    assert failing["two-swapped"] == failing["rotated"] == failing["upper-triangular"] == []
     assert failing["one-entry-x3"] == [("d-x-relation", "(0, 1, 0, 1)")]
-    assert failing["upper-triangular"] == [("d-x-relation", "(0, 0, 0, 0)")]
     rotated = verify_rep_relations(_rotated(std)).results
     assert [r.detail for r in rotated] == ["", "", "alpha = 3"]
     assert max(v.den for mat in _rotated(std).matrices for row in mat for v in row) == 25
