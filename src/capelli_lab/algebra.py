@@ -101,14 +101,13 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, scalar) -> "AlgebraElement":
-        if isinstance(scalar, Cyclo):
-            s = scalar.promote(self.conductor) if scalar.conductor != self.conductor else scalar
-        elif scalar == 1:
-            return self
-        else:
-            s = Cyclo.rational(scalar, self.conductor)
-        # s * 0 is the canonical zero already standing there
-        return AlgebraElement(self.group, [s * a if a else a for a in self.coeffs])
+        if not isinstance(scalar, Cyclo):
+            if scalar == 1:
+                return self
+            scalar = Cyclo.rational(scalar, self.conductor)
+        # scalar * 0 is the canonical zero already standing there; a Cyclo
+        # of another conductor raises ConductorMismatch
+        return AlgebraElement(self.group, [scalar * a if a else a for a in self.coeffs])
 
     def __bool__(self):
         return any(self.coeffs)

@@ -149,13 +149,12 @@ def verify_centrality(irrep: Irrep, irrep_set: IrrepSet | None = None) -> Report
 # -- conjugation invariance ------------------------------------------------------
 
 
-def verify_conjugation_invariance(irrep: Irrep, p_matrix=None) -> Report:
+def verify_conjugation_invariance(irrep: Irrep) -> Report:
     """The column determinant of P E P^-1 + alpha*shift - zI equals the
-    Capelli element, for p_matrix or for each P of `linalg.p_family`."""
+    Capelli element, for each P of `linalg.p_family`."""
     report = Report()
     reference = capelli_element(irrep)
-    family = ([(p_matrix, linalg.mat_inverse(p_matrix))] if p_matrix is not None
-              else linalg.p_family(irrep.degree, irrep.conductor))
+    family = linalg.p_family(irrep.degree, irrep.conductor)
     got = conjugated_capelli_zpolys(E_matrix(irrep), irrep.alpha, _one(irrep), family)
     for idx, poly in enumerate(got):
         report.add("conjugation-invariance", f"{irrep.label}#P{idx}", poly == reference)

@@ -12,6 +12,7 @@ character fields.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,38 +27,38 @@ def catalog_names() -> tuple[str, ...]:
     return CATALOG
 
 
+def _n_cycle(n):
+    return "(" + "".join(map(str, range(1, n + 1))) + ")"
+
+
+def _cycles(text):
+    """Cycle notation of one-digit points as cycles: "(12)(34)" is
+    [(1, 2), (3, 4)]."""
+    return [tuple(map(int, cycle)) for cycle in re.findall(r"\((\d+)\)", text)]
+
+
+# Every catalog group but Q8 as (degree, generators in cycle notation); its
+# elements are named and ordered as build_group_from_permutations finds them.
+GROUPS = {
+    "C1": (1, ()),
+    **{f"C{n}": (n, (_n_cycle(n),)) for n in range(2, 9)},
+    "V4": (4, ("(12)(34)", "(13)(24)")),
+    "S3": (3, ("(123)", "(12)")),
+    "D4": (4, ("(1234)", "(13)")),
+    "A4": (4, ("(12)(34)", "(234)")),
+    "S4": (4, ("(12)", "(1243)")),
+}
+
+
 @lru_cache(maxsize=None)
 def catalog_group(name: str) -> Group:
     if name not in CATALOG:
         raise KeyError(f"unknown catalog group {name!r}")
-    if name == "C1":
-        return build_group_from_permutations("C1", 1, [])
-    if name.startswith("C"):
-        n = int(name[1:])
-        return build_group_from_permutations(name, n, [perm_from_cycles(n, [tuple(range(1, n + 1))])])
-    if name == "V4":
-        return build_group_from_permutations(
-            "V4", 4, [perm_from_cycles(4, [(1, 2), (3, 4)]), perm_from_cycles(4, [(1, 3), (2, 4)])]
-        )
-    if name == "S3":
-        return build_group_from_permutations(
-            "S3", 3, [perm_from_cycles(3, [(1, 2, 3)]), perm_from_cycles(3, [(1, 2)])]
-        )
-    if name == "D4":
-        return build_group_from_permutations(
-            "D4", 4, [perm_from_cycles(4, [(1, 2, 3, 4)]), perm_from_cycles(4, [(1, 3)])]
-        )
     if name == "Q8":
         return _quaternion_group()
-    if name == "A4":
-        return build_group_from_permutations(
-            "A4", 4, [perm_from_cycles(4, [(1, 2), (3, 4)]), perm_from_cycles(4, [(2, 3, 4)])]
-        )
-    if name == "S4":
-        return build_group_from_permutations(
-            "S4", 4, [perm_from_cycles(4, [(1, 2)]), perm_from_cycles(4, [(1, 2, 4, 3)])]
-        )
-    raise KeyError(name)
+    degree, generators = GROUPS[name]
+    return build_group_from_permutations(
+        name, degree, [perm_from_cycles(degree, _cycles(g)) for g in generators])
 
 
 def _quaternion_group() -> Group:
@@ -95,8 +96,7 @@ def _linear(generators, *characters, identity="e"):
 
 def _cyclic(n):
     """chi_k of C_n turns the generator (12...n) by k/n."""
-    cycle = "(" + "".join(map(str, range(1, n + 1))) + ")"
-    return _linear((cycle,), *[("triv" if k == 0 else f"chi{k}", Fraction(k, n)) for k in range(n)])
+    return _linear((_n_cycle(n),), *[("triv" if k == 0 else f"chi{k}", Fraction(k, n)) for k in range(n)])
 
 
 # Every catalog irrep is Ind_H^G chi (irreps.induced_irrep): a row gives its

@@ -1,13 +1,16 @@
 """Symbolic Weyl algebra with exact normal ordering.
 
 Operators are stored normal-ordered: a sparse map from (x-multidegree,
-d-multidegree) pairs to cyclotomic coefficients, with all multiplication
-operators to the left of all differentiations.  There is one algebra,
-[d, x] = 1, and its single reordering rule is d^b x^a = sum over k of
-C(b,k) * falling(a,k) * x^(a-k) d^(b-k) per variable, distinct variables
-commuting.  Canonical form makes operator equality a term-by-term
-comparison, which is strictly stronger than agreeing on any
-bounded-degree polynomial.
+d-multidegree) pairs to coefficients, with all multiplication operators
+to the left of all differentiations.  The algebra is over Q, and a
+coefficient is kept as it is given: an int or a Fraction in every
+operator the package builds.  A scalar type with a field of its own (a
+`Cyclo` of a test oracle) enforces that field when two coefficients
+meet.  There is one algebra, [d, x] = 1, and its single reordering rule
+is d^b x^a = sum over k of C(b,k) * falling(a,k) * x^(a-k) d^(b-k) per
+variable, distinct variables commuting.  Canonical form makes operator
+equality a term-by-term comparison, which is strictly stronger than
+agreeing on any bounded-degree polynomial.
 
 The rule lives in one helper, `_add_reordered`: a product expands
 every term pair through it, a commutator only the pairs where a d
@@ -49,7 +52,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from . import linalg, ncdet
-from .cyclo import Cyclo, format_sum
+from .cyclo import format_sum
 from .irreps import Irrep, orthogonality_witness
 from .ncdet import SizeLimit, add_diagonal, coldet, natural_shift
 from .reports import CheckResult, Report
@@ -71,7 +74,6 @@ class ContextMismatch(ValueError):
 @dataclass(frozen=True)
 class WeylContext:
     names: tuple[str, ...]
-    conductor: int = 1  # the coefficient field is Q(zeta_conductor)
 
     @property
     def size(self) -> int:
@@ -129,8 +131,7 @@ class WeylOp:
     def _monomial(ctx: WeylContext, x_var, d_var, coeff) -> "WeylOp":
         # coeff * x_(x_var) * d_(d_var); a None variable leaves its factor out
         xdeg, ddeg = (tuple(int(v == var) for v in range(ctx.size)) for var in (x_var, d_var))
-        c = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff, ctx.conductor)
-        return WeylOp(ctx, {(xdeg, ddeg): c} if c else {})
+        return WeylOp(ctx, {(xdeg, ddeg): coeff} if coeff else {})
 
     @staticmethod
     def one(ctx: WeylContext) -> "WeylOp":
@@ -177,19 +178,15 @@ class WeylOp:
         return self + (-other)
 
     def scale(self, scalar) -> "WeylOp":
-        if not isinstance(scalar, Cyclo):
-            if scalar == 1:
-                return self
-            scalar = Cyclo.rational(scalar, self.context.conductor)
+        if scalar == 1:
+            return self
         if not scalar:
             return WeylOp.zero(self.context)
         return WeylOp(self.context, {k: scalar * c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self.scale(other)
         if not isinstance(other, WeylOp):
-            return NotImplemented
+            return self.scale(other)
         self._check(other)
         out: dict = {}
         for (xa, da), ca in self.terms.items():
@@ -383,7 +380,8 @@ def verify_rep_identity(irrep: Irrep, identity: str, relations: Report | None = 
 
 def verify_capelli_properties(pi, alpha, label="generic") -> Report:
     """The z-polynomial commutes with every Pi entry and is invariant
-    under conjugation by the permutation + transvection family."""
+    under conjugation by the permutation + transvection family, read
+    over Q."""
     report = Report()
     ctx = pi[0][0].context
     alpha, one = Fraction(alpha), WeylOp.one(ctx)
@@ -392,7 +390,8 @@ def verify_capelli_properties(pi, alpha, label="generic") -> Report:
     witness = "" if entry is None else f"[Pi_{entry[0] + 1}{entry[1] + 1}, C(z)] != 0"
     report.add("capelli-central", label, entry is None, witness)
 
-    family = linalg.p_family(len(pi), ctx.conductor)
+    family = [tuple([[v.as_rational() for v in row] for row in mat] for mat in pair)
+              for pair in linalg.p_family(len(pi), 1)]
     got = ncdet.conjugated_capelli_zpolys(pi, alpha, one, family)
     for idx, poly in enumerate(got):
         report.add("capelli-conjugation", f"{label}#P{idx}", poly == cz)

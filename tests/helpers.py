@@ -641,7 +641,7 @@ def build_rep(irrep):
     X_ij = sum over g of matrix(g^-1)_ji * x_g (for a unitary irrep, the
     conjugated entries) and D_ij = sum over g of matrix(g)_ij * d_g."""
     group = irrep.group
-    ctx = WeylContext(tuple(group.element_names), irrep.conductor)
+    ctx = WeylContext(tuple(group.element_names))
     m = irrep.degree
     xm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]
     dm = [[WeylOp.zero(ctx) for _ in range(m)] for _ in range(m)]

@@ -13,7 +13,7 @@ from capelli_lab.algebra import (
     class_sum,
 )
 from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
-from capelli_lab.cyclo import Cyclo
+from capelli_lab.cyclo import ConductorMismatch, Cyclo
 from capelli_lab.groups import build_group_from_table, conjugacy_classes, exponent
 from helpers import naive_convolve
 
@@ -72,6 +72,16 @@ def test_scaling_by_one_and_zero_entries():
     assert a.scale(Fraction(1, 2)) == s3_element({"e": 1, "(12)": Fraction(-3, 2)})
     assert a.scale(Cyclo.one(6)) == a
     assert 0 * a == AlgebraElement.zero(S3)
+
+
+def test_scaling_by_another_field_is_refused():
+    # a Cyclo scalar is not promoted into the element's field, even where
+    # it would fit (zeta_3 into Q(zeta_6))
+    a = s3_element({"e": 2, "(12)": -3})
+    with pytest.raises(ConductorMismatch):
+        a.scale(Cyclo.zeta(3))
+    zeta = Cyclo.zeta(6)
+    assert a.scale(Cyclo.zeta(3).promote(6)) == a.scale(zeta).scale(zeta)
 
 
 def test_group_mismatch_rejected():

@@ -28,7 +28,8 @@ from capelli_lab.catalog import catalog_group, catalog_irreps, catalog_names
 from capelli_lab.cyclo import Cyclo
 from capelli_lab.groups import build_group_from_table, conjugacy_classes, group_from_dict
 from capelli_lab.irreps import E_matrix, Irrep, irrep_from_dict
-from capelli_lab.ncdet import ZPoly, natural_sigma, natural_star, rowdet, shift_variants
+from capelli_lab.ncdet import (ZPoly, conjugated_capelli_zpolys, natural_sigma, natural_star,
+                               rowdet, shift_variants)
 from helpers import (
     double_sum_by_permutations,
     mat_eq,
@@ -221,9 +222,18 @@ def test_centrality_d4():
 # -- conjugation invariance ---------------------------------------------------------
 
 
+def capelli_of_conjugate(irrep, p):
+    """The Capelli determinant of P E P^-1, the one conjugation that
+    verify_conjugation_invariance runs for each P of its family."""
+    one = AlgebraElement.identity(irrep.group, irrep.conductor)
+    [poly] = conjugated_capelli_zpolys(E_matrix(irrep), irrep.alpha, one,
+                                       [(p, linalg.mat_inverse(p))])
+    return poly
+
+
 def test_conjugation_invariance_identity_p():
     ident = linalg.identity_matrix(2, STD.conductor)
-    assert verify_conjugation_invariance(STD, ident).ok
+    assert capelli_of_conjugate(STD, ident) == capelli_element(STD)
 
 
 def test_conjugation_invariance_family_s3():
@@ -237,7 +247,7 @@ def test_conjugation_invariance_transvection_q8():
     conductor = q8std.conductor
     p = linalg.identity_matrix(2, conductor)
     p[0][1] = Cyclo.one(conductor)
-    assert verify_conjugation_invariance(q8std, p).ok
+    assert capelli_of_conjugate(q8std, p) == capelli_element(q8std)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -251,7 +261,7 @@ def test_p_family_pairs_are_inverse(m):
 def test_conjugation_rejects_singular_p():
     p = [[Cyclo.zero(6), Cyclo.zero(6)], [Cyclo.zero(6), Cyclo.zero(6)]]
     with pytest.raises(linalg.SingularMatrix):
-        verify_conjugation_invariance(STD, p)
+        capelli_of_conjugate(STD, p)
 
 
 # -- evaluation points and bases -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capelli_lab import weyl
+from capelli_lab import ncdet, weyl
 from capelli_lab.catalog import catalog_irreps, catalog_names
 from capelli_lab.cli import CHECKS, run_checks
 from capelli_lab.cyclo import ConductorMismatch, Cyclo, cyclo_degree
@@ -79,9 +79,7 @@ def test_d2_x2_normal_form_against_action_oracle():
     assert lhs == rhs
     for k in range(5):
         mono = {(k,): Fraction(1)}
-        lhs_terms = {key: c.as_rational() for key, c in lhs.terms.items()}
-        rhs_terms = {key: c.as_rational() for key, c in rhs.terms.items()}
-        assert act(lhs_terms, Fraction(1), mono) == act(rhs_terms, Fraction(1), mono)
+        assert act(lhs.terms, Fraction(1), mono) == act(rhs.terms, Fraction(1), mono)
 
 
 def test_apply_identity_and_euler():
@@ -462,9 +460,33 @@ def test_context_mismatch_rejected():
         a * b
     with pytest.raises(ContextMismatch):
         commutator(a, b)
-    # a scalar is not promoted into the operator's field
+    # a Cyclo scalar multiplies the coefficients as given, in its own field
+    zeta = Cyclo.zeta(3)
+    x = ((1,), (0,))
+    assert a.scale(zeta).terms == {x: zeta}
+    assert WeylOp.x(a.context, 0, zeta).scale(zeta).terms == {x: zeta * zeta}
+    # coefficients of two fields meet only in Cyclo, which refuses them
     with pytest.raises(ConductorMismatch):
-        a.scale(Cyclo.zeta(3))
+        WeylOp.x(a.context, 0, zeta) + WeylOp.x(a.context, 0, Cyclo.zeta(4))
+
+
+def test_built_operators_hold_rational_coefficients(monkeypatch):
+    # the Weyl layer is over Q: X, D and Pi of every generic grid, and the
+    # conjugated Pi that weyl-central builds, hold ints and Fractions only
+    built = []
+    for m in range(1, GENERIC_SIZE_LIMIT + 1):
+        for alpha in weyl.GENERIC_ALPHAS:
+            _, xm, dm, pi = build_generic(m, alpha)
+            built += [e for mat in (xm, dm, pi) for row in mat for e in row]
+    conjugated = []
+    conjugate = ncdet.conjugate
+    monkeypatch.setattr(ncdet, "conjugate",
+                        lambda *args: conjugated.append(conjugate(*args)) or conjugated[-1])
+    assert CHECKS["weyl-central"](catalog_irreps("C1")).ok
+    # per alpha one permutation at m = 1, two and a transvection at m = 2
+    assert len(conjugated) == 4 * len(weyl.GENERIC_ALPHAS)
+    built += [e for mat in conjugated for row in mat for e in row]
+    assert {type(c) for op in built for c in op.terms.values()} <= {int, Fraction}
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -521,10 +543,10 @@ def test_weyl_semantics_compose(a, b):
 @st.composite
 def op_pairs(draw):
     """Two operators over one context of 1-4 variables, with degrees 0-3
-    and coefficients anywhere in Q(zeta_N) for N in 1, 3, 4, 12."""
+    and coefficients anywhere in Q(zeta_N) for N in 1, 3, 4, 12, and N."""
     size = draw(st.integers(1, 4))
     conductor = draw(st.sampled_from((1, 3, 4, 12)))
-    ctx = WeylContext(tuple(str(v + 1) for v in range(size)), conductor)
+    ctx = WeylContext(tuple(str(v + 1) for v in range(size)))
     degree = st.tuples(*[st.integers(0, 3)] * size)
     basis = cyclo_degree(conductor)
     coeff = st.builds(
@@ -536,13 +558,13 @@ def op_pairs(draw):
     for _ in range(2):
         terms = draw(st.dictionaries(st.tuples(degree, degree), coeff, max_size=4))
         ops.append(WeylOp(ctx, {key: c for key, c in terms.items() if c}))
-    return ops
+    return (*ops, conductor)
 
 
 @given(op_pairs())
 @settings(max_examples=150, deadline=None)
 def test_commutator_matches_product_oracle(ops):
-    a, b = ops
+    a, b, _ = ops
     got = commutator(a, b)
     assert got == a * b - b * a
     assert all(got.terms.values())
@@ -553,16 +575,16 @@ def test_commutator_matches_product_oracle(ops):
 def test_product_and_commutator_act_by_composition(ops):
     # apply differentiates directly, so this checks the
     # reordering rule itself, which the product and commutator share
-    a, b = ops
+    a, b, conductor = ops
     ctx = a.context
-    one = Cyclo.one(ctx.conductor)
-    poly = {(4,) * ctx.size: one, tuple(range(1, ctx.size + 1)): Cyclo.zeta(ctx.conductor) + one}
+    one = Cyclo.one(conductor)
+    poly = {(4,) * ctx.size: one, tuple(range(1, ctx.size + 1)): Cyclo.zeta(conductor) + one}
     ab = apply(a, apply(b, poly))
     ba = apply(b, apply(a, poly))
     assert apply(a * b, poly) == ab
     diff = dict(ab)
     for key, c in ba.items():
-        value = diff.pop(key, Cyclo.zero(ctx.conductor)) - c
+        value = diff.pop(key, Cyclo.zero(conductor)) - c
         if value:
             diff[key] = value
     assert apply(commutator(a, b), poly) == diff
